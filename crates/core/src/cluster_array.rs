@@ -147,22 +147,37 @@ impl ClusterArray {
     ///
     /// Panics if either index is out of bounds.
     pub fn merge(&mut self, i1: usize, i2: usize) -> Option<MergeOutcome> {
-        let f1 = self.chain(i1);
-        let f2 = self.chain(i2);
-        let c1 = *f1.last().expect("chains are non-empty");
-        let c2 = *f2.last().expect("chains are non-empty");
+        let c1 = self.root_of(i1);
+        let c2 = self.root_of(i2);
         let cmin = c1.min(c2);
-        for &j in f1.iter().chain(&f2) {
-            if self.c[j as usize] != cmin {
-                self.c[j as usize] = cmin;
-                self.changes += 1;
-            }
-        }
+        // Rewriting F(i1) first cannot change which elements F(i2) must
+        // rewrite: disjoint chains stay disjoint, and where the chains
+        // meet, the rest of F(i2) is already cmin.
+        self.rewrite_chain(i1, cmin);
+        self.rewrite_chain(i2, cmin);
         if c1 != c2 {
             self.clusters -= 1;
             Some(MergeOutcome { left: c1, right: c2, into: cmin })
         } else {
             None
+        }
+    }
+
+    /// Points every element of the chain `F(i)` at `root`, counting the
+    /// writes that change a value. Each element's parent is read before
+    /// it is overwritten, so the walk follows the chain as it was.
+    fn rewrite_chain(&mut self, i: usize, root: u32) {
+        let mut cur = i;
+        loop {
+            let next = self.c[cur] as usize;
+            if self.c[cur] != root {
+                self.c[cur] = root;
+                self.changes += 1;
+            }
+            if next == cur {
+                break;
+            }
+            cur = next;
         }
     }
 
@@ -441,5 +456,52 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.cluster_count(), 0);
         assert!(c.assignments().is_empty());
+    }
+
+    /// The original `MERGE`: collect both chains with [`ClusterArray::chain`]
+    /// first, then rewrite every collected element.
+    fn merge_by_collected_chains(
+        c: &mut ClusterArray,
+        i1: usize,
+        i2: usize,
+    ) -> Option<MergeOutcome> {
+        let f1 = c.chain(i1);
+        let f2 = c.chain(i2);
+        let c1 = *f1.last().expect("chains are non-empty");
+        let c2 = *f2.last().expect("chains are non-empty");
+        let cmin = c1.min(c2);
+        for &j in f1.iter().chain(&f2) {
+            if c.c[j as usize] != cmin {
+                c.c[j as usize] = cmin;
+                c.changes += 1;
+            }
+        }
+        if c1 == c2 {
+            return None;
+        }
+        c.clusters -= 1;
+        Some(MergeOutcome { left: c1, right: c2, into: cmin })
+    }
+
+    proptest::proptest! {
+        /// The in-place `merge` leaves the same array, write count, and
+        /// cluster count as the chain-collecting original, and reports
+        /// the same outcome, after every step of a random sequence.
+        #[test]
+        fn in_place_merge_matches_collected_chains(
+            n in 1usize..40,
+            ops in proptest::collection::vec((0usize..40, 0usize..40), 0..120),
+        ) {
+            let mut fast = ClusterArray::new(n);
+            let mut oracle = ClusterArray::new(n);
+            for (a, b) in ops {
+                let (a, b) = (a % n, b % n);
+                proptest::prop_assert_eq!(
+                    fast.merge(a, b),
+                    merge_by_collected_chains(&mut oracle, a, b)
+                );
+                proptest::prop_assert_eq!(&fast, &oracle);
+            }
+        }
     }
 }

@@ -16,7 +16,10 @@
 //!   the endpoint vectors aᵢ, aⱼ, not the common neighbor). Phase II
 //!   sweeps the similarity-sorted pair list, merging edge clusters through
 //!   the chain array `C`. Total cost O(|V| + K₁ log K₁ + √K₂·|E|) time
-//!   and O(K₂ + |E|) space (Theorem 2).
+//!   and O(K₂ + |E|) space (Theorem 2). [`LinkClustering`] runs the same
+//!   sweep on a min-tracking union-find instead
+//!   ([`sweep::union_find_sweep_with`]); its dendrogram is bit-identical,
+//!   and the chain-array sweep stays as the oracle.
 //! * **Modeling** ([`coarse`], [`model`]) — coarse-grained dendrograms:
 //!   the sorted list is processed in adaptively sized chunks whose merge
 //!   rate between consecutive levels is bounded by γ, driven by a

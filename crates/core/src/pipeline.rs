@@ -13,7 +13,7 @@ use crate::dendrogram::Dendrogram;
 use crate::error::ConfigError;
 use crate::init::compute_similarities_with;
 use crate::similarity::PairSimilarities;
-use crate::sweep::{sweep_with, EdgeOrder, SweepConfig, SweepOutput};
+use crate::sweep::{union_find_sweep_with, EdgeOrder, SweepConfig, SweepOutput};
 use crate::telemetry::{
     Counter, Phase, Recorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
 };
@@ -135,7 +135,9 @@ impl LinkClustering {
     }
 
     /// Runs both phases on `g` — any [`GraphView`] backend
-    /// (adjacency-list or CSR) yields bit-identical results.
+    /// (adjacency-list or CSR) yields bit-identical results. The sweep
+    /// is [`union_find_sweep_with`], whose output is bit-identical to
+    /// Algorithm 2 ([`sweep_with`](crate::sweep::sweep_with)).
     #[must_use]
     pub fn run<G: GraphView + ?Sized>(&self, g: &G) -> ClusteringResult {
         let (telemetry, recorder) = self.build_telemetry();
@@ -144,7 +146,7 @@ impl LinkClustering {
             let _span = telemetry.span(Phase::Sort);
             sims.into_sorted()
         };
-        let output = sweep_with(g, &sims, self.sweep_config(), &telemetry);
+        let output = union_find_sweep_with(g, &sims, self.sweep_config(), &telemetry);
         self.record_trace_drops(&telemetry);
         ClusteringResult { similarities: sims, output, report: recorder.map(|r| r.report()) }
     }

@@ -6,6 +6,13 @@
 //! on the cluster array `C`. Each successful merge advances the
 //! dendrogram level `r` by one (fine-grained clustering).
 //!
+//! Two kernels run that sweep exactly. [`sweep_with`] is Algorithm 2 on
+//! the chain array `C`, kept as the oracle for the paper's figures and
+//! the tests. [`union_find_sweep_with`] is the production kernel: the
+//! same union operations in the same order on a min-tracking
+//! [`UnionFind`], which labels every merge with the same set minima the
+//! chain array does, so the two outputs are bit-identical.
+//!
 //! [`fixed_chunk_sweep`] is the instrumented variant behind Fig. 2(1)/(2):
 //! the pair list is processed in fixed-size chunks of incident edge pairs,
 //! all merges in a chunk share a level, and per-level statistics (writes
@@ -20,6 +27,7 @@ use crate::cluster_array::ClusterArray;
 use crate::dendrogram::{Dendrogram, MergeRecord};
 use crate::similarity::PairSimilarities;
 use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::unionfind::UnionFind;
 
 /// How edges are assigned to slots of the cluster array (the paper
 /// enumerates edges "in a random order" — the clustering *partition* is
@@ -198,6 +206,9 @@ pub fn sweep<G: GraphView + ?Sized>(
 /// [`Phase::Sweep`] span, and the merge and processed-pair counters are
 /// recorded once at the end (no per-merge overhead).
 ///
+/// This is Algorithm 2 on the chain array `C`, the oracle that
+/// [`union_find_sweep_with`] reproduces bit for bit.
+///
 /// # Panics
 ///
 /// Panics if `sorted` is not actually sorted (call
@@ -211,6 +222,65 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     config: SweepConfig,
     telemetry: &Telemetry,
 ) -> SweepOutput {
+    let mut c = ClusterArray::new(g.edge_count());
+    let out = exact_sweep(g, sorted, config, telemetry, |s1, s2| {
+        c.merge(s1, s2).map(|out| (out.left, out.right))
+    });
+    crate::invariants::debug_check_cluster_array(&c);
+    out
+}
+
+/// The production fine-grained sweep: the operations of [`sweep_with`]
+/// in the same order, each one union on a min-tracking [`UnionFind`]
+/// (two finds) instead of two chain rewrites on `C`. Takes the same
+/// arguments, records the same span and counters, and returns an output
+/// bit-identical to [`sweep_with`]'s: levels, `left`/`right`/`into`
+/// labels, and merge scores.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`sweep_with`].
+///
+/// # Examples
+///
+/// ```
+/// use linkclust_graph::generate::{gnm, WeightMode};
+/// use linkclust_core::init::compute_similarities;
+/// use linkclust_core::sweep::{sweep_with, union_find_sweep_with, SweepConfig};
+/// use linkclust_core::telemetry::Telemetry;
+///
+/// let g = gnm(30, 90, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 1);
+/// let sims = compute_similarities(&g).into_sorted();
+/// let off = Telemetry::disabled();
+/// let fast = union_find_sweep_with(&g, &sims, SweepConfig::default(), &off);
+/// assert_eq!(fast, sweep_with(&g, &sims, SweepConfig::default(), &off));
+/// ```
+#[must_use]
+pub fn union_find_sweep_with<G: GraphView + ?Sized>(
+    g: &G,
+    sorted: &PairSimilarities,
+    config: SweepConfig,
+    telemetry: &Telemetry,
+) -> SweepOutput {
+    let mut uf = UnionFind::new(g.edge_count());
+    exact_sweep(g, sorted, config, telemetry, |s1, s2| uf.union_minima(s1, s2))
+}
+
+/// The loop both exact kernels share: resolves every incident edge pair
+/// of the sorted list to its two slots and hands them to `merge`, which
+/// returns the two pre-merge cluster ids when the slots were in distinct
+/// clusters. Each such merge gets its own level.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`sweep_with`].
+fn exact_sweep<G: GraphView + ?Sized>(
+    g: &G,
+    sorted: &PairSimilarities,
+    config: SweepConfig,
+    telemetry: &Telemetry,
+    mut merge: impl FnMut(usize, usize) -> Option<(u32, u32)>,
+) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     let span = telemetry.span(Phase::Sweep);
     let m = g.edge_count();
@@ -218,7 +288,6 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     // the merge loop used to issue.
     let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
-    let mut c = ClusterArray::new(m);
     let mut merges = Vec::new();
     let mut scores = Vec::new();
     let mut r = 0u32;
@@ -235,14 +304,9 @@ pub fn sweep_with<G: GraphView + ?Sized>(
             let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
             let s1 = slot_of_edge[e1.index()] as usize;
             let s2 = slot_of_edge[e2.index()] as usize;
-            if let Some(out) = c.merge(s1, s2) {
+            if let Some((left, right)) = merge(s1, s2) {
                 r += 1;
-                merges.push(MergeRecord {
-                    level: r,
-                    left: out.left,
-                    right: out.right,
-                    into: out.into,
-                });
+                merges.push(MergeRecord { level: r, left, right, into: left.min(right) });
                 scores.push(entry.score);
             }
         }
@@ -251,7 +315,6 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     span.finish();
     telemetry.add(Counter::MergesApplied, merges.len() as u64);
     telemetry.add(Counter::PairsProcessed, pairs_processed);
-    crate::invariants::debug_check_cluster_array(&c);
     let dendrogram = Dendrogram::from_merges(m, merges);
     crate::invariants::debug_check_dendrogram(&dendrogram);
     SweepOutput::with_scores(dendrogram, slot_of_edge, scores)

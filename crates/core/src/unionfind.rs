@@ -1,9 +1,10 @@
 //! Classic disjoint-set union-find (path compression + union by rank),
 //! plus a lock-free concurrent variant for the parallel sweep engine.
 //!
-//! [`UnionFind`] is used by the MST baseline
-//! ([`baseline::mst`](crate::baseline::mst)) and as an ablation comparator
-//! for the paper's chain array `C` ([`ClusterArray`](crate::ClusterArray)):
+//! [`UnionFind`] backs the production sweep
+//! ([`union_find_sweep_with`](crate::sweep::union_find_sweep_with)) and
+//! the MST baseline ([`baseline::mst`](crate::baseline::mst)). It replaces
+//! the paper's chain array `C` ([`ClusterArray`](crate::ClusterArray)):
 //! union-find achieves near-O(1) amortized finds but does not preserve the
 //! "min index is the cluster id" labelling that the paper's dendrogram
 //! output relies on, so we track the minimum element per set explicitly.
@@ -87,20 +88,37 @@ impl UnionFind {
     /// Joins the sets of `a` and `b`. Returns `true` if they were
     /// distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
+        self.union_minima(a, b).is_some()
+    }
+
+    /// Joins the sets of `a` and `b` and returns both sets' minima from
+    /// before the join — the `(left, right)` cluster ids of the paper's
+    /// merge event, whose minimum is the surviving id — or `None` if
+    /// they were already one set. Costs two finds.
+    ///
+    /// ```
+    /// use linkclust_core::unionfind::UnionFind;
+    ///
+    /// let mut uf = UnionFind::new(5);
+    /// assert_eq!(uf.union_minima(4, 2), Some((4, 2)));
+    /// assert_eq!(uf.union_minima(1, 4), Some((1, 2)));
+    /// assert_eq!(uf.union_minima(2, 1), None);
+    /// ```
+    pub fn union_minima(&mut self, a: usize, b: usize) -> Option<(u32, u32)> {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return false;
+            return None;
         }
+        let (left, right) = (self.min[ra as usize], self.min[rb as usize]);
         let (hi, lo) =
             if self.rank[ra as usize] >= self.rank[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[lo as usize] = hi;
         if self.rank[hi as usize] == self.rank[lo as usize] {
             self.rank[hi as usize] += 1;
         }
-        let m = self.min[hi as usize].min(self.min[lo as usize]);
-        self.min[hi as usize] = m;
+        self.min[hi as usize] = left.min(right);
         self.sets -= 1;
-        true
+        Some((left, right))
     }
 
     /// Returns `true` if `a` and `b` are in the same set.

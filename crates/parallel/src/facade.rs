@@ -1,12 +1,14 @@
 //! Unified serial/parallel clustering facade.
 //!
 //! One builder covers the whole repo: `threads(1)` (the default) runs
-//! the exact serial code path of [`linkclust_core::LinkClustering`] —
-//! bit-for-bit identical dendrograms — while `threads(n)` for `n > 1`
-//! dispatches Phase I, the sort of `L`, the fine-grained sweep (the
-//! union-find engine of [`crate::ufsweep`], which reproduces the serial
-//! dendrogram exactly), and (for the coarse sweep) the chunk processing
-//! to the multi-threaded implementations in this crate. The paper's
+//! the serial pipeline of [`linkclust_core::LinkClustering`], whose
+//! sweep is the exact union-find kernel
+//! [`union_find_sweep_with`](linkclust_core::sweep::union_find_sweep_with),
+//! while `threads(n)` for `n > 1` dispatches Phase I, the sort of `L`,
+//! the fine-grained sweep (the parallel union-find engine of
+//! [`crate::ufsweep`]), and (for the coarse sweep) the chunk processing
+//! to the multi-threaded implementations in this crate. Every thread
+//! count produces a dendrogram bit-identical to Algorithm 2. The paper's
 //! coarse chunk pipeline remains available through
 //! [`run_coarse`](LinkClustering::run_coarse) as the explicit
 //! approximate mode.
@@ -15,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
-use linkclust_core::sweep::{sweep_with, EdgeOrder, SweepConfig};
+use linkclust_core::sweep::{EdgeOrder, SweepConfig};
 use linkclust_core::telemetry::{Counter, Recorder, Telemetry, TelemetrySink, TraceCollector};
 use linkclust_core::{ClusteringResult, ConfigError, PairSimilarities};
 use linkclust_graph::GraphView;
@@ -26,29 +28,13 @@ use crate::sort::parallel_into_sorted_pooled;
 use crate::sweep::ParallelChunkProcessor;
 use crate::ufsweep::ufsweep_with;
 
-/// Which Phase-II engine [`LinkClustering::run`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SweepEngine {
-    /// The default: the serial sweep at `threads == 1`, the exact
-    /// parallel union-find engine ([`crate::ufsweep`]) at `threads >= 2`.
-    #[default]
-    Auto,
-    /// Always the serial fine-grained sweep (Algorithm 2), even when
-    /// init and sort run on many threads — the pre-ufsweep behavior,
-    /// kept for A/B measurement.
-    Serial,
-    /// Always the union-find engine, even at `threads == 1` (useful for
-    /// testing the engine without a pool fan-out).
-    UnionFind,
-}
-
 /// End-to-end link clustering with a configurable thread count.
 ///
 /// This is the facade the `linkclust` crate re-exports at its root. With
-/// the default single thread every run takes exactly the serial code
-/// path; raising [`threads`](Self::threads) switches Phase I, the sort,
-/// and the coarse chunk processor to their parallel counterparts while
-/// producing the same dendrogram.
+/// the default single thread every run takes the serial code path, with
+/// no worker pool; raising [`threads`](Self::threads) switches Phase I,
+/// the sort, the sweep, and the coarse chunk processor to their parallel
+/// counterparts while producing the same dendrogram.
 ///
 /// # Examples
 ///
@@ -67,7 +53,6 @@ pub struct LinkClustering {
     threads: usize,
     edge_order: Option<EdgeOrder>,
     min_similarity: Option<f64>,
-    engine: SweepEngine,
     sink: TelemetrySink,
     tracer: Option<Arc<TraceCollector>>,
     trace_path: Option<PathBuf>,
@@ -79,7 +64,6 @@ impl Default for LinkClustering {
             threads: 1,
             edge_order: None,
             min_similarity: None,
-            engine: SweepEngine::Auto,
             sink: TelemetrySink::Off,
             tracer: None,
             trace_path: None,
@@ -95,9 +79,10 @@ impl LinkClustering {
         Self::default()
     }
 
-    /// Sets the worker thread count. `1` (the default) is the exact
-    /// serial pipeline; `0` is rejected by the run methods with
-    /// [`ConfigError::ZeroThreads`].
+    /// Sets the worker thread count. `1` (the default) is the serial
+    /// pipeline, sweeping with the union-find kernel and still
+    /// bit-identical to Algorithm 2; `0` is rejected by the run methods
+    /// with [`ConfigError::ZeroThreads`].
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -118,16 +103,6 @@ impl LinkClustering {
     #[must_use]
     pub fn min_similarity(mut self, theta: f64) -> Self {
         self.min_similarity = Some(theta);
-        self
-    }
-
-    /// Selects the Phase-II engine for [`run`](Self::run). The default
-    /// ([`SweepEngine::Auto`]) uses the parallel union-find engine
-    /// whenever `threads >= 2`; every engine produces the identical
-    /// dendrogram, so this knob exists for A/B measurement and tests.
-    #[must_use]
-    pub fn sweep_engine(mut self, engine: SweepEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -221,7 +196,7 @@ impl LinkClustering {
     }
 
     /// The serial facade with this builder's settings (used for the
-    /// exact `threads == 1` path). The collector is passed in because
+    /// `threads == 1` path). The collector is passed in because
     /// the parallel facade may have created one for a
     /// [`trace`](Self::trace) path.
     fn serial(&self, collector: Option<&Arc<TraceCollector>>) -> linkclust_core::LinkClustering {
@@ -305,18 +280,20 @@ impl LinkClustering {
     }
 
     /// Runs both phases on `g`: initialization, sort, and the
-    /// fine-grained sweep, all on the configured threads (the sweep runs
-    /// the exact parallel union-find engine of [`crate::ufsweep`] unless
-    /// [`sweep_engine`](Self::sweep_engine) says otherwise). Generic
-    /// over the graph backend; adjacency-list and CSR inputs — and every
-    /// engine — produce bit-identical dendrograms.
+    /// fine-grained sweep. Every thread count sweeps with an exact
+    /// union-find engine: `threads == 1` runs the serial facade
+    /// ([`linkclust_core::LinkClustering::run`]) with no pool, and
+    /// `threads >= 2` runs init, sort, and the parallel engine of
+    /// [`crate::ufsweep`] on the configured threads. Generic over the
+    /// graph backend; adjacency-list and CSR inputs at every thread
+    /// count produce dendrograms bit-identical to Algorithm 2.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
         self.check_threads()?;
         let collector = self.active_collector();
-        if self.threads == 1 && self.engine != SweepEngine::UnionFind {
+        if self.threads == 1 {
             let result = self.serial(collector.as_ref()).run(g);
             self.write_trace_file(collector.as_ref())?;
             return Ok(result);
@@ -328,12 +305,7 @@ impl LinkClustering {
         };
         let (pool, g) = self.run_context(g, &telemetry);
         let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        let output = match self.engine {
-            SweepEngine::Serial => sweep_with(&*g, &sims, self.sweep_config(), &telemetry),
-            SweepEngine::Auto | SweepEngine::UnionFind => {
-                ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry)
-            }
-        };
+        let output = ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         // All worker clones are gone once the pool tasks rendezvoused;
         // the unwrap only clones if a tracer/recorder still holds one.

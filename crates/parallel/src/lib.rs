@@ -50,68 +50,7 @@ pub mod sort;
 pub mod sweep;
 pub mod ufsweep;
 
-pub use facade::{LinkClustering, SweepEngine};
+pub use facade::LinkClustering;
 pub use init::compute_similarities_parallel;
 pub use pool::WorkerPool;
 pub use sweep::{parallel_coarse_sweep, parallel_coarse_sweep_shared, ParallelChunkProcessor};
-
-use linkclust_core::coarse::{CoarseConfig, CoarseResult};
-use linkclust_core::{ConfigError, PairSimilarities};
-use linkclust_graph::WeightedGraph;
-
-/// Thin wrapper kept for source compatibility; use
-/// [`LinkClustering::new().threads(n)`](LinkClustering::threads) instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinkClustering::new().threads(n)` — the unified facade \
-            also covers the serial pipeline and telemetry"
-)]
-#[derive(Clone, Debug)]
-pub struct ParallelLinkClustering {
-    inner: LinkClustering,
-    threads: usize,
-}
-
-#[allow(deprecated)]
-impl ParallelLinkClustering {
-    /// Creates the facade with `threads` worker threads; rejects
-    /// `threads == 0` with [`ConfigError::ZeroThreads`].
-    pub fn new(threads: usize) -> Result<Self, ConfigError> {
-        if threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        Ok(ParallelLinkClustering { inner: LinkClustering::new().threads(threads), threads })
-    }
-
-    /// The configured thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Phase I in parallel: the sorted similarity list. Both the three
-    /// passes and the O(K₁ log K₁) sort run on the configured threads
-    /// (the sort is an extension beyond the paper; see DESIGN.md).
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: the thread count was validated by
-    /// [`ParallelLinkClustering::new`], the only way to construct `self`.
-    #[must_use]
-    pub fn similarities(&self, g: &WeightedGraph) -> PairSimilarities {
-        self.inner.similarities(g).expect("thread count validated in new()")
-    }
-
-    /// Both phases in parallel: parallel initialization followed by the
-    /// parallel coarse-grained sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`CoarseConfig`] validation (for example a
-    /// zero chunk size); use [`LinkClustering::run_coarse`] on the facade
-    /// for the fallible variant.
-    #[must_use]
-    pub fn run_coarse(&self, g: &WeightedGraph, config: CoarseConfig) -> CoarseResult {
-        self.inner.run_coarse(g, config).unwrap_or_else(|e| panic!("invalid coarse config: {e}"))
-    }
-}

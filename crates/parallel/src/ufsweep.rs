@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use linkclust_core::dendrogram::{Dendrogram, MergeRecord};
-use linkclust_core::sweep::{SweepConfig, SweepOutput};
+use linkclust_core::sweep::{union_find_sweep_with, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::{Counter, Phase, Telemetry};
 use linkclust_core::unionfind::{ConcurrentUnionFind, UnionFind};
 use linkclust_core::{PairSimilarities, SimilarityEntry};
@@ -78,6 +78,10 @@ pub struct Candidate {
 /// stay comparable across engines) with [`Phase::SweepLocal`],
 /// [`Phase::SweepStitch`] and [`Phase::SweepReplay`] sub-spans.
 ///
+/// A one-thread `pool` has nothing to partition or stitch, so the call
+/// runs the serial kernel [`union_find_sweep_with`] inline instead: one
+/// `Sweep` span, no sub-spans, no pool tasks.
+///
 /// # Panics
 ///
 /// Panics if `sorted` is unsorted, refers to vertices/edges not in `g`,
@@ -91,6 +95,9 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
     pool: &Arc<WorkerPool>,
     telemetry: &Telemetry,
 ) -> SweepOutput {
+    if pool.threads() == 1 {
+        return union_find_sweep_with(g, sorted, config, telemetry);
+    }
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     let span = telemetry.span(Phase::Sweep);
     let m = g.edge_count();
@@ -365,6 +372,11 @@ where
 /// ids (set minima) of the two operands, `into` their minimum — the
 /// same labels [`ClusterArray::merge`](linkclust_core::ClusterArray::merge)
 /// produces in the serial sweep.
+///
+/// # Panics
+///
+/// Panics if a survivor joins two slots that earlier survivors already
+/// connected; the stitch's survivors form a forest, so they never do.
 fn replay_survivors(
     m: usize,
     candidates: &[Candidate],
@@ -376,10 +388,9 @@ fn replay_survivors(
     let mut scores = Vec::with_capacity(survivors.len());
     for (i, &ci) in survivors.iter().enumerate() {
         let c = candidates[ci as usize];
-        let left = uf.min_of(c.s1 as usize);
-        let right = uf.min_of(c.s2 as usize);
-        let merged = uf.union(c.s1 as usize, c.s2 as usize);
-        debug_assert!(merged, "survivors must connect distinct components");
+        let (left, right) = uf
+            .union_minima(c.s1 as usize, c.s2 as usize)
+            .expect("survivors must connect distinct components");
         merges.push(MergeRecord { level: i as u32 + 1, left, right, into: left.min(right) });
         scores.push(entries[c.entry as usize].score);
     }
@@ -456,6 +467,22 @@ mod tests {
                 kruskal_filter(m, &candidates),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_runs_the_serial_kernel_inline() {
+        use linkclust_core::telemetry::RunRecorder;
+        let g = gnm(30, 90, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 4);
+        let sims = Arc::new(compute_similarities(&g).into_sorted());
+        let recorder = Arc::new(RunRecorder::new());
+        let telemetry = Telemetry::new(recorder.clone());
+        let out = ufsweep_with(&g, &sims, SweepConfig::default(), &pool(1), &telemetry);
+        assert_eq!(out, sweep(&g, &sims, SweepConfig::default()));
+        let report = recorder.report();
+        assert_eq!(report.phase_calls(Phase::Sweep), 1);
+        for phase in [Phase::SweepLocal, Phase::SweepStitch, Phase::SweepReplay] {
+            assert_eq!(report.phase_calls(phase), 0, "{phase:?}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! The unified facade contract: `threads(1)` is the exact serial
+//! The unified facade contract: `threads(1)` is the serial core
 //! pipeline, bad configurations come back as [`ConfigError`] values
 //! instead of panics, and the telemetry report's counters agree with
 //! independently computed graph statistics and dendrogram totals.
@@ -133,14 +133,6 @@ fn bad_configurations_are_errors_not_panics() {
         CoarseConfig::builder().gamma(f64::NAN).build(),
         Err(ConfigError::InvalidGamma(gamma)) if gamma.is_nan()
     ));
-
-    #[allow(deprecated)]
-    {
-        assert_eq!(
-            linkclust::ParallelLinkClustering::new(0).map(|p| p.threads()),
-            Err(ConfigError::ZeroThreads)
-        );
-    }
 }
 
 #[test]

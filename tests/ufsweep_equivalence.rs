@@ -1,18 +1,24 @@
-//! Engine equivalence: the parallel union-find sweep engine must be
-//! indistinguishable from the serial sweep oracle — the dendrogram
-//! (levels, left/right/into labels), the per-merge scores (compared as
-//! bits), and every downstream cut must be **identical**, not merely
-//! equal up to relabeling, at every thread count and on every graph
-//! backend. Plus linearizable-equivalence property tests for the
-//! lock-free concurrent union-find the engine's boundary stitch runs on.
+//! Engine equivalence: every production sweep must be indistinguishable
+//! from the Algorithm-2 oracle ([`sweep_with`] over core init and sort)
+//! — the dendrogram (levels, left/right/into labels), the per-merge
+//! scores (compared as bits), and every downstream cut must be
+//! **identical**, not merely equal up to relabeling. That covers the
+//! facade at every thread count on both graph backends, and the serial
+//! union-find kernel on its own. Plus linearizable-equivalence property
+//! tests for the lock-free concurrent union-find the parallel engine's
+//! boundary stitch runs on.
 
 use std::sync::Arc;
 
+use linkclust::core::sweep::{sweep_with, union_find_sweep_with, SweepOutput};
+use linkclust::core::telemetry::{Counter, Phase, Telemetry, TelemetrySink};
 use linkclust::core::unionfind::{ConcurrentUnionFind, UnionFind};
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
 use linkclust::parallel::pool::{partition_ranges, Task, WorkerPool};
-use linkclust::parallel::SweepEngine;
-use linkclust::{CsrGraph, LinkClustering, WeightedGraph};
+use linkclust::{
+    compute_similarities, CsrGraph, EdgeOrder, GraphBuilder, GraphView, LinkClustering,
+    PairSimilarities, SweepConfig, WeightedGraph,
+};
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -27,32 +33,38 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
     ]
 }
 
+/// The sorted list `L` from the serial core init and sort.
+fn sorted_sims<G: GraphView>(g: &G) -> PairSimilarities {
+    compute_similarities(g).into_sorted()
+}
+
+/// The Algorithm-2 oracle for `g` under `config`.
+fn oracle<G: GraphView>(g: &G, config: SweepConfig) -> SweepOutput {
+    sweep_with(g, &sorted_sims(g), config, &Telemetry::disabled())
+}
+
+fn score_bits(out: &SweepOutput) -> Vec<u64> {
+    out.merge_scores().iter().map(|s| s.to_bits()).collect()
+}
+
+/// Dendrogram, merge-score bits, and edge-to-slot permutation all equal.
+fn assert_bit_identical(oracle: &SweepOutput, got: &SweepOutput, what: &str) {
+    assert_eq!(
+        oracle.dendrogram(),
+        got.dendrogram(),
+        "{what}: dendrogram diverged from the Alg-2 oracle"
+    );
+    assert_eq!(score_bits(oracle), score_bits(got), "{what}: merge scores diverged");
+    assert_eq!(oracle.slot_of_edge(), got.slot_of_edge(), "{what}");
+}
+
 #[test]
 fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
     for (name, g) in workloads() {
-        let serial = LinkClustering::new().run(&g).unwrap();
+        let expected = oracle(&g, SweepConfig::default());
         for threads in THREADS {
-            // threads == 1 forces the engine explicitly (Auto would take
-            // the serial path); >= 2 exercises the default dispatch.
-            let facade = if threads == 1 {
-                LinkClustering::new().sweep_engine(SweepEngine::UnionFind)
-            } else {
-                LinkClustering::new().threads(threads)
-            };
-            let par = facade.run(&g).unwrap();
-            assert_eq!(
-                serial.dendrogram(),
-                par.dendrogram(),
-                "{name} t={threads}: dendrogram diverged from the serial oracle"
-            );
-            let sb: Vec<u64> = serial.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-            let pb: Vec<u64> = par.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-            assert_eq!(sb, pb, "{name} t={threads}: merge scores diverged");
-            assert_eq!(
-                serial.output().slot_of_edge(),
-                par.output().slot_of_edge(),
-                "{name} t={threads}"
-            );
+            let got = LinkClustering::new().threads(threads).run(&g).unwrap();
+            assert_bit_identical(&expected, got.output(), &format!("{name} t={threads}"));
         }
     }
 }
@@ -61,63 +73,151 @@ fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
 fn ufsweep_is_bit_identical_on_the_csr_backend() {
     for (name, g) in workloads() {
         let csr = CsrGraph::from_weighted(&g);
-        let serial = LinkClustering::new().run(&g).unwrap();
-        for threads in [2, 4] {
-            let par = LinkClustering::new().threads(threads).run(&csr).unwrap();
-            assert_eq!(serial.dendrogram(), par.dendrogram(), "{name} t={threads} via CSR");
+        let expected = oracle(&csr, SweepConfig::default());
+        for threads in THREADS {
+            let got = LinkClustering::new().threads(threads).run(&csr).unwrap();
+            assert_bit_identical(&expected, got.output(), &format!("{name} t={threads} via CSR"));
         }
     }
 }
 
 /// Cut paths (`edge_assignments_at_similarity` and level cuts) must
-/// behave identically on dendrograms from either engine — the
-/// satellites' cross-engine cut-equivalence check, at several
-/// thresholds, on all three ladder families.
+/// behave identically on dendrograms from every engine — checked at
+/// several thresholds and levels, on all three ladder families, at every
+/// thread count, on both backends.
 #[test]
 fn cuts_are_identical_across_engines_at_several_thresholds() {
     for (name, g) in workloads() {
-        let serial = LinkClustering::new().run(&g).unwrap();
-        let engines = [
-            LinkClustering::new().threads(4).sweep_engine(SweepEngine::Serial),
-            LinkClustering::new().threads(4), // Auto: the ufsweep engine
-            LinkClustering::new().sweep_engine(SweepEngine::UnionFind),
-        ];
-        for (which, facade) in engines.iter().enumerate() {
-            let par = facade.run(&g).unwrap();
-            for theta in [0.2, 0.35, 0.5, 0.7, 0.9] {
-                assert_eq!(
-                    serial.output().edge_assignments_at_similarity(theta),
-                    par.output().edge_assignments_at_similarity(theta),
-                    "{name} engine #{which} theta {theta}"
-                );
+        let expected = oracle(&g, SweepConfig::default());
+        let csr = CsrGraph::from_weighted(&g);
+        for threads in THREADS {
+            let facade = LinkClustering::new().threads(threads);
+            for (backend, got) in
+                [("adjacency", facade.run(&g).unwrap()), ("csr", facade.run(&csr).unwrap())]
+            {
+                let got = got.output();
+                let what = format!("{name} {backend} t={threads}");
+                for theta in [0.2, 0.35, 0.5, 0.7, 0.9] {
+                    assert_eq!(
+                        expected.edge_assignments_at_similarity(theta),
+                        got.edge_assignments_at_similarity(theta),
+                        "{what} theta {theta}"
+                    );
+                }
+                let levels = expected.dendrogram().merge_count();
+                for level in [0, levels / 2, levels] {
+                    assert_eq!(
+                        expected.edge_assignments_at_level(level as u32),
+                        got.edge_assignments_at_level(level as u32),
+                        "{what} level {level}"
+                    );
+                }
+                assert_eq!(expected.edge_assignments(), got.edge_assignments(), "{what}");
             }
-            let levels = serial.dendrogram().merge_count();
-            for level in [0, levels / 2, levels] {
-                assert_eq!(
-                    serial.output().edge_assignments_at_level(level as u32),
-                    par.output().edge_assignments_at_level(level as u32),
-                    "{name} engine #{which} level {level}"
-                );
-            }
-            assert_eq!(serial.edge_assignments(), par.edge_assignments(), "{name} #{which}");
         }
     }
 }
 
-/// Threshold configs must also agree between engines (the ufsweep
-/// engine cuts the entry list before partitioning, the serial sweep
-/// breaks at the first below-threshold entry — the same prefix either
+/// Threshold configs must also agree with the oracle (the parallel
+/// engine cuts the entry list before partitioning, the serial kernels
+/// break at the first below-threshold entry — the same prefix either
 /// way).
 #[test]
 fn min_similarity_configs_agree_across_engines() {
     let g = gnm(50, 200, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 23);
     for theta in [0.25, 0.5, 0.75] {
-        let serial = LinkClustering::new().min_similarity(theta).run(&g).unwrap();
-        let par = LinkClustering::new().threads(4).min_similarity(theta).run(&g).unwrap();
-        assert_eq!(serial.dendrogram(), par.dendrogram(), "theta {theta}");
-        let sb: Vec<u64> = serial.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-        let pb: Vec<u64> = par.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(sb, pb, "theta {theta}");
+        let config = SweepConfig { min_similarity: Some(theta), ..Default::default() };
+        let expected = oracle(&g, config);
+        for threads in THREADS {
+            let got = LinkClustering::new().threads(threads).min_similarity(theta).run(&g).unwrap();
+            assert_bit_identical(&expected, got.output(), &format!("theta {theta} t={threads}"));
+        }
+    }
+}
+
+/// A graph for the kernel property: one of the three ladder families,
+/// a graph with no edges, or a matching (edges but no incident pairs).
+fn kernel_graph(family: usize, n: usize, seed: u64) -> WeightedGraph {
+    let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+    match family {
+        0 => gnm(n, 3 * n, w, seed),
+        1 => barabasi_albert(n, 3, w, seed),
+        2 => lfr_like(n, 6, 0.25, seed).graph,
+        3 => GraphBuilder::from_edges(n, &[]).unwrap().build(),
+        _ => {
+            let matching: Vec<(usize, usize, f64)> =
+                (0..n / 2).map(|i| (2 * i, 2 * i + 1, 1.0)).collect();
+            GraphBuilder::from_edges(n, &matching).unwrap().build()
+        }
+    }
+}
+
+/// The threshold under test: none, the middle entry's score, above the
+/// largest score (no merges), or below the smallest (every merge).
+fn kernel_threshold(sims: &PairSimilarities, pick: usize) -> Option<f64> {
+    let scores: Vec<f64> = sims.entries().iter().map(|e| e.score).collect();
+    let (Some(&max), Some(&min)) = (scores.first(), scores.last()) else {
+        return [None, Some(0.5), Some(2.0), Some(0.0)][pick];
+    };
+    [None, Some(scores[scores.len() / 2]), Some(max + 1.0), Some(min / 2.0)][pick]
+}
+
+/// The serial kernel against the oracle on one backend.
+fn check_kernel<G: GraphView>(g: &G, config: SweepConfig, what: &str) {
+    let sims = sorted_sims(g);
+    let off = Telemetry::disabled();
+    let expected = sweep_with(g, &sims, config, &off);
+    let got = union_find_sweep_with(g, &sims, config, &off);
+    assert_bit_identical(&expected, &got, what);
+    if config.min_similarity.is_some_and(|t| sims.entries().first().is_none_or(|e| e.score < t)) {
+        assert_eq!(got.dendrogram().merge_count(), 0, "{what}: threshold above every score");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The union-find kernel reproduces Algorithm 2 bit for bit on every
+    /// generator family and on degenerate graphs, on both backends,
+    /// under every kind of threshold and both edge orders.
+    #[test]
+    fn union_find_kernel_matches_the_alg2_oracle(
+        family in 0usize..5,
+        n in 12usize..60,
+        seed in 0u64..1000,
+        threshold_pick in 0usize..4,
+        shuffle in proptest::bool::ANY,
+    ) {
+        let g = kernel_graph(family, n, seed);
+        let config = SweepConfig {
+            edge_order: if shuffle { EdgeOrder::Shuffled { seed } } else { EdgeOrder::Insertion },
+            min_similarity: kernel_threshold(&sorted_sims(&g), threshold_pick),
+        };
+        let what = format!("family {family} n {n} seed {seed} {config:?}");
+        check_kernel(&g, config, &what);
+        check_kernel(&CsrGraph::from_weighted(&g), config, &format!("{what} via CSR"));
+    }
+}
+
+/// At one thread the facade runs the serial kernel inline: exactly one
+/// `Sweep` span with the oracle's merge and pair counters, and none of
+/// the parallel engine's sub-phases.
+#[test]
+fn one_thread_sweep_report_matches_alg2_and_has_no_engine_phases() {
+    for (name, g) in workloads() {
+        let (telemetry, recorder) = TelemetrySink::Stats.build();
+        let sims = sorted_sims(&g);
+        let _ = sweep_with(&g, &sims, SweepConfig::default(), &telemetry);
+        let alg2 = recorder.expect("a stats sink records").report();
+        let run = LinkClustering::new().threads(1).stats(true).run(&g).unwrap();
+        let report = run.report().expect("stats(true) attaches a report");
+        assert_eq!(report.phase_calls(Phase::Sweep), 1, "{name}");
+        for counter in [Counter::MergesApplied, Counter::PairsProcessed] {
+            assert_eq!(report.counter(counter), alg2.counter(counter), "{name} {counter:?}");
+        }
+        for phase in [Phase::SweepLocal, Phase::SweepStitch, Phase::SweepReplay] {
+            assert_eq!(report.phase_calls(phase), 0, "{name} {phase:?}");
+        }
     }
 }
 
