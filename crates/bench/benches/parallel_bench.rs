@@ -1,6 +1,8 @@
 //! Criterion bench: multi-threaded initialization and sweeping vs thread
 //! count (Fig. 6 in micro form).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkclust_core::coarse::CoarseConfig;
 use linkclust_core::init::compute_similarities;
@@ -19,7 +21,7 @@ fn bench_parallel(c: &mut Criterion) {
     }
     group.finish();
 
-    let sims = compute_similarities(&g).into_sorted();
+    let sims = Arc::new(compute_similarities(&g).into_sorted());
     let cfg = CoarseConfig {
         phi: 100,
         initial_chunk: (sims.incident_pair_count() / 500).max(16),

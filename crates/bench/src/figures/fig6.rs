@@ -8,6 +8,7 @@
 //! test suite independently of speedup).
 
 use std::io;
+use std::sync::Arc;
 
 use linkclust_core::init::compute_similarities;
 use linkclust_parallel::{compute_similarities_parallel, parallel_coarse_sweep};
@@ -70,7 +71,7 @@ pub fn run_fig6_2(ctx: &FigureContext) -> io::Result<()> {
     );
     for &alpha in &FIG6_ALPHAS {
         let g = ctx.workload().graph_for_alpha(alpha);
-        let sims = compute_similarities(&g).into_sorted();
+        let sims = Arc::new(compute_similarities(&g).into_sorted());
         let cfg = coarse_config_for(&g, sims.incident_pair_count());
         let mut base = None;
         for &threads in &THREADS {

@@ -18,16 +18,18 @@ use linkclust_graph::{EdgeId, VertexId, WeightedGraph};
 ///
 /// ```
 /// use linkclust_graph::GraphBuilder;
-/// use linkclust_core::{communities::LinkCommunities, LinkClustering};
+/// use linkclust_core::communities::LinkCommunities;
+/// use linkclust_core::init::compute_similarities;
+/// use linkclust_core::sweep::{sweep, SweepConfig};
 ///
 /// // Two triangles sharing vertex 2.
 /// let g = GraphBuilder::from_edges(5, &[
 ///     (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
 ///     (2, 3, 1.0), (3, 4, 1.0), (2, 4, 1.0),
 /// ])?.build();
-/// let result = LinkClustering::new().run(&g);
-/// let cut = result.dendrogram().best_density_cut(&g).unwrap();
-/// let labels = result.output().edge_assignments_at_level(cut.level);
+/// let output = sweep(&g, &compute_similarities(&g).into_sorted(), SweepConfig::default());
+/// let cut = output.dendrogram().best_density_cut(&g).unwrap();
+/// let labels = output.edge_assignments_at_level(cut.level);
 /// let comms = LinkCommunities::from_edge_labels(&g, &labels);
 ///
 /// assert_eq!(comms.len(), 2);
@@ -181,7 +183,8 @@ impl LinkCommunities {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkClustering;
+    use crate::init::compute_similarities;
+    use crate::sweep::{sweep, SweepConfig};
     use linkclust_graph::GraphBuilder;
 
     fn two_triangles() -> WeightedGraph {
@@ -196,9 +199,9 @@ mod tests {
     #[test]
     fn overlap_vertex_is_in_both_communities() {
         let g = two_triangles();
-        let result = LinkClustering::new().run(&g);
-        let cut = result.dendrogram().best_density_cut(&g).unwrap();
-        let labels = result.output().edge_assignments_at_level(cut.level);
+        let output = sweep(&g, &compute_similarities(&g).into_sorted(), SweepConfig::default());
+        let cut = output.dendrogram().best_density_cut(&g).unwrap();
+        let labels = output.edge_assignments_at_level(cut.level);
         let comms = LinkCommunities::from_edge_labels(&g, &labels);
         assert_eq!(comms.len(), 2);
         assert_eq!(comms.overlap_vertices(), vec![VertexId::new(2)]);

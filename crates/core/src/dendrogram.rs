@@ -34,10 +34,12 @@ pub struct MergeRecord {
 ///
 /// ```
 /// use linkclust_graph::GraphBuilder;
-/// use linkclust_core::LinkClustering;
+/// use linkclust_core::init::compute_similarities;
+/// use linkclust_core::sweep::{sweep, SweepConfig};
 ///
 /// let g = GraphBuilder::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])?.build();
-/// let d = LinkClustering::new().run(&g).into_dendrogram();
+/// let sims = compute_similarities(&g).into_sorted();
+/// let d = sweep(&g, &sims, SweepConfig::default()).into_dendrogram();
 /// // A unit triangle collapses into a single link community.
 /// assert_eq!(d.final_cluster_count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())

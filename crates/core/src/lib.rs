@@ -16,8 +16,8 @@
 //!   the endpoint vectors aᵢ, aⱼ, not the common neighbor). Phase II
 //!   sweeps the similarity-sorted pair list, merging edge clusters through
 //!   the chain array `C`. Total cost O(|V| + K₁ log K₁ + √K₂·|E|) time
-//!   and O(K₂ + |E|) space (Theorem 2). [`LinkClustering`] runs the same
-//!   sweep on a min-tracking union-find instead
+//!   and O(K₂ + |E|) space (Theorem 2). The production kernel runs the
+//!   same sweep on a min-tracking union-find instead
 //!   ([`sweep::union_find_sweep_with`]); its dendrogram is bit-identical,
 //!   and the chain-array sweep stays as the oracle.
 //! * **Modeling** ([`coarse`], [`model`]) — coarse-grained dendrograms:
@@ -30,15 +30,17 @@
 //!   the MST-based formulation of Gower & Ross.
 //!
 //! Parallel (multi-core) versions of both phases live in the companion
-//! `linkclust-parallel` crate, whose unified `LinkClustering` facade
-//! (with a `.threads(n)` builder) supersedes the serial facade here for
-//! most callers.
+//! `linkclust-parallel` crate, whose `LinkClustering` facade (with a
+//! `.threads(n)` builder, telemetry and tracing) is the one end-to-end
+//! entry point. This crate exposes the phases it composes as free
+//! functions.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use linkclust_graph::GraphBuilder;
-//! use linkclust_core::LinkClustering;
+//! use linkclust_core::init::compute_similarities;
+//! use linkclust_core::sweep::{sweep, SweepConfig};
 //!
 //! // Two triangles sharing a vertex: the triangles merge internally
 //! // first, and the density-optimal cut recovers them as two link
@@ -47,8 +49,9 @@
 //!     (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
 //!     (2, 3, 1.0), (3, 4, 1.0), (2, 4, 1.0),
 //! ])?.build();
-//! let result = LinkClustering::new().run(&g);
-//! let cut = result.dendrogram().best_density_cut(&g).unwrap();
+//! let sims = compute_similarities(&g).into_sorted();
+//! let output = sweep(&g, &sims, SweepConfig::default());
+//! let cut = output.dendrogram().best_density_cut(&g).unwrap();
 //! assert_eq!(cut.cluster_count, 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -58,14 +61,17 @@
 //!
 //! ```
 //! use linkclust_graph::generate::{gnm, WeightMode};
-//! use linkclust_core::coarse::CoarseConfig;
-//! use linkclust_core::telemetry::Counter;
-//! use linkclust_core::{ConfigError, LinkClustering};
+//! use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, SerialChunkProcessor};
+//! use linkclust_core::init::compute_similarities;
+//! use linkclust_core::telemetry::{Counter, TelemetrySink};
+//! use linkclust_core::ConfigError;
 //!
 //! let g = gnm(50, 200, WeightMode::Unit, 7);
+//! let sims = compute_similarities(&g).into_sorted();
 //! let cfg = CoarseConfig::builder().phi(5).initial_chunk(16).build()?;
-//! let r = LinkClustering::new().stats(true).run_coarse(&g, cfg)?;
-//! let report = r.report().expect("stats(true) attaches a report");
+//! let (telemetry, recorder) = TelemetrySink::Stats.build();
+//! let r = coarse_sweep_instrumented(&g, &sims, cfg, &mut SerialChunkProcessor, &telemetry);
+//! let report = recorder.expect("a stats sink records").report();
 //! assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
 //! assert_eq!(
 //!     CoarseConfig::builder().phi(0).build(),
@@ -95,12 +101,12 @@ pub mod sweep;
 pub mod telemetry;
 pub mod unionfind;
 
-mod pipeline;
+mod result;
 mod similarity;
 
 pub use cluster_array::ClusterArray;
 pub use dendrogram::{Dendrogram, MergeRecord};
 pub use error::ConfigError;
-pub use pipeline::{ClusteringResult, LinkClustering};
+pub use result::ClusteringResult;
 pub use similarity::{PairSimilarities, SimilarityEntry, VertexPair};
 pub use telemetry::{Recorder, RunReport, Telemetry};

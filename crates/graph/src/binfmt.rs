@@ -203,9 +203,12 @@ impl GraphFile {
         }
         let (n, m) = (n as usize, m as usize);
 
-        let mut source = Vec::with_capacity(m);
-        let mut target = Vec::with_capacity(m);
-        let mut weight = Vec::with_capacity(m);
+        // `m` is untrusted: reserve at most one chunk up front and grow as
+        // records arrive, so a short file that claims 2³¹ edges fails with
+        // `Truncated` instead of aborting on a huge allocation.
+        let mut source = Vec::with_capacity(CHUNK_EDGES.min(m));
+        let mut target = Vec::with_capacity(CHUNK_EDGES.min(m));
+        let mut weight = Vec::with_capacity(CHUNK_EDGES.min(m));
         let mut buf = vec![0u8; CHUNK_EDGES.min(m.max(1)) * RECORD_BYTES];
         let mut read_edges = 0usize;
         while read_edges < m {
@@ -370,6 +373,18 @@ mod tests {
         let cut = bytes.len() - 5;
         match GraphFile::read_streamed(&bytes[..cut]).unwrap_err() {
             BinGraphError::Truncated { declared: 2, read } => assert!(read < 2),
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn inflated_edge_count_without_body_is_truncated_not_aborted() {
+        let mut header = valid_bytes();
+        header.truncate(HEADER_BYTES);
+        let claimed = u64::from(u32::MAX) / 2;
+        header[24..32].copy_from_slice(&claimed.to_le_bytes());
+        match GraphFile::read_streamed(header.as_slice()).unwrap_err() {
+            BinGraphError::Truncated { declared, read: 0 } => assert_eq!(declared, claimed),
             other => panic!("unexpected error {other}"),
         }
     }

@@ -1,14 +1,21 @@
-//! Unified serial/parallel clustering facade.
+//! The clustering facade: one builder, one code path, every thread
+//! count.
 //!
-//! One builder covers the whole repo: `threads(1)` (the default) runs
-//! the serial pipeline of [`linkclust_core::LinkClustering`], whose
-//! sweep is the exact union-find kernel
-//! [`union_find_sweep_with`](linkclust_core::sweep::union_find_sweep_with),
-//! while `threads(n)` for `n > 1` dispatches Phase I, the sort of `L`,
-//! the fine-grained sweep (the parallel union-find engine of
-//! [`crate::ufsweep`]), and (for the coarse sweep) the chunk processing
-//! to the multi-threaded implementations in this crate. Every thread
-//! count produces a dendrogram bit-identical to Algorithm 2. The paper's
+//! [`LinkClustering`] is the only end-to-end entry point of the
+//! workspace. Its run methods share one start step (thread check,
+//! telemetry and tracer, one [`WorkerPool`]) and one finish step
+//! (trace-drop accounting, trace file, report). The thread count picks
+//! a kernel in two places only:
+//!
+//! * Phase I and the sort of `L` — the serial flat-accumulator init and
+//!   the standard sort at one thread, the pooled owner-sharded init and
+//!   the pooled merge sort otherwise;
+//! * the coarse chunk processor — [`SerialChunkProcessor`] at one
+//!   thread, the pooled [`ParallelChunkProcessor`] otherwise.
+//!
+//! The fine sweep is always [`ufsweep_with`], which runs the serial
+//! union-find kernel inline on a one-thread pool. Every thread count
+//! produces a dendrogram bit-identical to Algorithm 2. The paper's
 //! coarse chunk pipeline remains available through
 //! [`run_coarse`](LinkClustering::run_coarse) as the explicit
 //! approximate mode.
@@ -16,9 +23,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
+use linkclust_core::coarse::{
+    coarse_sweep_instrumented, CoarseConfig, CoarseResult, SerialChunkProcessor,
+};
+use linkclust_core::init::compute_similarities_with;
 use linkclust_core::sweep::{EdgeOrder, SweepConfig};
-use linkclust_core::telemetry::{Counter, Recorder, Telemetry, TelemetrySink, TraceCollector};
+use linkclust_core::telemetry::{
+    Counter, Phase, Recorder, RunRecorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
+};
 use linkclust_core::{ClusteringResult, ConfigError, PairSimilarities};
 use linkclust_graph::GraphView;
 
@@ -31,9 +43,9 @@ use crate::ufsweep::ufsweep_with;
 /// End-to-end link clustering with a configurable thread count.
 ///
 /// This is the facade the `linkclust` crate re-exports at its root. With
-/// the default single thread every run takes the serial code path, with
-/// no worker pool; raising [`threads`](Self::threads) switches Phase I,
-/// the sort, the sweep, and the coarse chunk processor to their parallel
+/// the default single thread every phase runs its serial kernel on the
+/// calling thread; raising [`threads`](Self::threads) switches Phase I,
+/// the sort, the sweep, and the coarse chunk processor to their pooled
 /// counterparts while producing the same dendrogram.
 ///
 /// # Examples
@@ -79,10 +91,10 @@ impl LinkClustering {
         Self::default()
     }
 
-    /// Sets the worker thread count. `1` (the default) is the serial
-    /// pipeline, sweeping with the union-find kernel and still
-    /// bit-identical to Algorithm 2; `0` is rejected by the run methods
-    /// with [`ConfigError::ZeroThreads`].
+    /// Sets the worker thread count. `1` (the default) runs the serial
+    /// kernels on the calling thread, sweeping with the union-find kernel
+    /// and still bit-identical to Algorithm 2; `0` is rejected by the run
+    /// methods with [`ConfigError::ZeroThreads`].
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -106,10 +118,9 @@ impl LinkClustering {
         self
     }
 
-    /// Collect phase timings and counters into a
-    /// [`RunReport`](linkclust_core::telemetry::RunReport) attached to
-    /// the result. Disabled by default — a disabled run skips all clock
-    /// reads.
+    /// Collect phase timings and counters into a [`RunReport`] attached
+    /// to the result. Disabled by default — a disabled run skips all
+    /// clock reads.
     #[must_use]
     pub fn stats(mut self, enabled: bool) -> Self {
         self.sink = if enabled { TelemetrySink::Stats } else { TelemetrySink::Off };
@@ -150,73 +161,6 @@ impl LinkClustering {
         self
     }
 
-    fn check_threads(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        Ok(())
-    }
-
-    /// The run's trace collector: the caller-supplied one, a fresh one
-    /// when only a [`trace`](Self::trace) path was requested, `None`
-    /// when tracing is off.
-    fn active_collector(&self) -> Option<Arc<TraceCollector>> {
-        match (&self.tracer, &self.trace_path) {
-            (Some(c), _) => Some(Arc::clone(c)),
-            (None, Some(_)) => Some(Arc::new(TraceCollector::new())),
-            (None, None) => None,
-        }
-    }
-
-    /// Folds the collector's drop count into the telemetry (so reports
-    /// carry `trace_events_dropped`) and writes the Chrome trace file if
-    /// a path was configured.
-    fn finish_trace(
-        &self,
-        collector: Option<&Arc<TraceCollector>>,
-        telemetry: &Telemetry,
-    ) -> Result<(), ConfigError> {
-        let Some(collector) = collector else { return Ok(()) };
-        let dropped = collector.dropped();
-        if dropped > 0 {
-            telemetry.add(Counter::TraceEventsDropped, dropped);
-        }
-        self.write_trace_file(Some(collector))
-    }
-
-    /// Writes the Chrome trace file if a path was configured (the
-    /// drop-count accounting happens elsewhere — in the serial facade
-    /// for `threads == 1` runs).
-    fn write_trace_file(&self, collector: Option<&Arc<TraceCollector>>) -> Result<(), ConfigError> {
-        let (Some(collector), Some(path)) = (collector, &self.trace_path) else { return Ok(()) };
-        std::fs::write(path, collector.to_chrome_json()).map_err(|e| ConfigError::TraceWrite {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
-    }
-
-    /// The serial facade with this builder's settings (used for the
-    /// `threads == 1` path). The collector is passed in because
-    /// the parallel facade may have created one for a
-    /// [`trace`](Self::trace) path.
-    fn serial(&self, collector: Option<&Arc<TraceCollector>>) -> linkclust_core::LinkClustering {
-        let mut serial = linkclust_core::LinkClustering::new();
-        if let Some(order) = self.edge_order {
-            serial = serial.edge_order(order);
-        }
-        if let Some(theta) = self.min_similarity {
-            serial = serial.min_similarity(theta);
-        }
-        if let Some(c) = collector {
-            serial = serial.tracer(Arc::clone(c));
-        }
-        match &self.sink {
-            TelemetrySink::Off => serial,
-            TelemetrySink::Stats => serial.stats(true),
-            TelemetrySink::Custom(r) => serial.recorder(r.clone()),
-        }
-    }
-
     fn sweep_config(&self) -> SweepConfig {
         SweepConfig {
             edge_order: self.edge_order.unwrap_or_default(),
@@ -235,82 +179,83 @@ impl LinkClustering {
         Ok(config)
     }
 
-    /// One persistent worker pool plus the `Arc`-shared graph for a run:
-    /// every parallel phase (init passes, sort, coarse chunks) submits
-    /// tasks to this pool instead of spawning threads of its own.
-    fn run_context<G>(&self, g: &G, telemetry: &Telemetry) -> (Arc<WorkerPool>, Arc<G>)
-    where
-        G: GraphView + Clone + Send + Sync + 'static,
-    {
+    /// The start step every run method shares: rejects zero threads,
+    /// picks the trace collector (the caller's, a fresh one when only a
+    /// [`trace`](Self::trace) path was requested, none when tracing is
+    /// off), builds the telemetry handle with it, and creates the run's
+    /// one worker pool — which at one thread spawns no OS thread.
+    fn start(&self) -> Result<RunContext, ConfigError> {
+        if self.threads == 0 {
+            return Err(ConfigError::ZeroThreads);
+        }
+        let collector = match (&self.tracer, &self.trace_path) {
+            (Some(c), _) => Some(Arc::clone(c)),
+            (None, Some(_)) => Some(Arc::new(TraceCollector::new())),
+            (None, None) => None,
+        };
+        let (mut telemetry, recorder) = self.sink.build();
+        if let Some(c) = &collector {
+            telemetry = telemetry.with_tracer(Arc::clone(c));
+        }
         let pool = Arc::new(WorkerPool::new(self.threads).with_telemetry(telemetry.clone()));
-        (pool, Arc::new(g.clone()))
+        Ok(RunContext { telemetry, recorder, collector, pool })
+    }
+
+    /// The finish step every run method shares: folds the collector's
+    /// drop count into the telemetry (so reports carry
+    /// `trace_events_dropped`), writes the Chrome trace file if a path
+    /// was configured, and snapshots the report of a `stats(true)` run.
+    fn finish(&self, ctx: RunContext) -> Result<Option<RunReport>, ConfigError> {
+        if let Some(collector) = &ctx.collector {
+            let dropped = collector.dropped();
+            if dropped > 0 {
+                ctx.telemetry.add(Counter::TraceEventsDropped, dropped);
+            }
+            if let Some(path) = &self.trace_path {
+                std::fs::write(path, collector.to_chrome_json()).map_err(|e| {
+                    ConfigError::TraceWrite {
+                        path: path.display().to_string(),
+                        message: e.to_string(),
+                    }
+                })?;
+            }
+        }
+        Ok(ctx.recorder.map(|r| r.report()))
     }
 
     /// Phase I plus the sort: the list `L`, ready to sweep. Runs on the
     /// configured threads. Accepts any [`GraphView`] backend
     /// (adjacency-list or CSR) and yields bit-identical similarities
-    /// from either.
+    /// from either, at every thread count.
     pub fn similarities<G>(&self, g: &G) -> Result<PairSimilarities, ConfigError>
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
-        let collector = self.active_collector();
-        let (telemetry, _) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
-        };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Self::sorted_similarities(&pool, &g, &telemetry);
-        self.finish_trace(collector.as_ref(), &telemetry)?;
+        let ctx = self.start()?;
+        let sims = ctx.sorted_similarities(g);
+        self.finish(ctx)?;
         Ok(sims)
-    }
-
-    fn sorted_similarities<G>(
-        pool: &WorkerPool,
-        g: &Arc<G>,
-        telemetry: &Telemetry,
-    ) -> PairSimilarities
-    where
-        G: GraphView + Send + Sync + 'static,
-    {
-        let sims = compute_similarities_pooled(pool, g, telemetry);
-        parallel_into_sorted_pooled(pool, sims, telemetry)
     }
 
     /// Runs both phases on `g`: initialization, sort, and the
     /// fine-grained sweep. Every thread count sweeps with an exact
-    /// union-find engine: `threads == 1` runs the serial facade
-    /// ([`linkclust_core::LinkClustering::run`]) with no pool, and
-    /// `threads >= 2` runs init, sort, and the parallel engine of
-    /// [`crate::ufsweep`] on the configured threads. Generic over the
-    /// graph backend; adjacency-list and CSR inputs at every thread
-    /// count produce dendrograms bit-identical to Algorithm 2.
+    /// union-find engine ([`ufsweep_with`]): at one thread it runs the
+    /// serial kernel inline, with no pool task, and at more threads the
+    /// parallel engine of [`crate::ufsweep`]. Generic over the graph
+    /// backend; adjacency-list and CSR inputs at every thread count
+    /// produce dendrograms bit-identical to Algorithm 2.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
-        let collector = self.active_collector();
-        if self.threads == 1 {
-            let result = self.serial(collector.as_ref()).run(g);
-            self.write_trace_file(collector.as_ref())?;
-            return Ok(result);
-        }
-        let (telemetry, recorder) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
-        };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        let output = ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry);
-        self.finish_trace(collector.as_ref(), &telemetry)?;
+        let ctx = self.start()?;
+        let sims = Arc::new(ctx.sorted_similarities(g));
+        let output = ufsweep_with(g, &sims, self.sweep_config(), &ctx.pool, &ctx.telemetry);
+        let report = self.finish(ctx)?;
         // All worker clones are gone once the pool tasks rendezvoused;
         // the unwrap only clones if a tracer/recorder still holds one.
         let sims = Arc::try_unwrap(sims).unwrap_or_else(|shared| (*shared).clone());
-        Ok(ClusteringResult::from_parts(sims, output, recorder.map(|r| r.report())))
+        Ok(ClusteringResult::from_parts(sims, output, report))
     }
 
     /// Runs Phase I and the **coarse-grained** Phase II (§V), with
@@ -326,43 +271,70 @@ impl LinkClustering {
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
-        let collector = self.active_collector();
-        if self.threads == 1 {
-            let result = self.serial(collector.as_ref()).run_coarse(g, config)?;
-            self.write_trace_file(collector.as_ref())?;
-            return Ok(result);
-        }
+        let ctx = self.start()?;
         let config = self.reconcile_coarse(config)?;
-        let (telemetry, recorder) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
+        let sims = ctx.sorted_similarities(g);
+        let result = if self.threads == 1 {
+            coarse_sweep_instrumented(g, &sims, config, &mut SerialChunkProcessor, &ctx.telemetry)
+        } else {
+            // The processor shares the run's pool and similarity list, so
+            // chunk fan-out reuses the warm workers and reads the entries
+            // zero-copy.
+            let sims = Arc::new(sims);
+            let mut processor = ParallelChunkProcessor::new(self.threads)?
+                .telemetry(ctx.telemetry.clone())
+                .with_pool(Arc::clone(&ctx.pool))
+                .shared_entries(Arc::clone(&sims));
+            coarse_sweep_instrumented(g, &sims, config, &mut processor, &ctx.telemetry)
         };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        // The processor shares the run's pool, graph, and similarity
-        // list, so chunk fan-out reuses the warm workers and reads the
-        // entries zero-copy.
-        let mut processor = ParallelChunkProcessor::new(self.threads)?
-            .telemetry(telemetry.clone())
-            .with_pool(pool)
-            .shared_entries(Arc::clone(&sims));
-        let result = coarse_sweep_instrumented(&*g, &sims, config, &mut processor, &telemetry);
-        self.finish_trace(collector.as_ref(), &telemetry)?;
-        Ok(match recorder {
-            Some(r) => result.with_report(r.report()),
+        Ok(match self.finish(ctx)? {
+            Some(report) => result.with_report(report),
             None => result,
         })
+    }
+}
+
+/// The state one run threads through its phases: the telemetry handle
+/// (carrying the tracer, if any), the recorder behind `stats(true)`,
+/// the trace collector, and the run's one worker pool, which serves the
+/// init passes, the sort, the sweep and every coarse chunk.
+struct RunContext {
+    telemetry: Telemetry,
+    recorder: Option<Arc<RunRecorder>>,
+    collector: Option<Arc<TraceCollector>>,
+    pool: Arc<WorkerPool>,
+}
+
+impl RunContext {
+    /// Phase I plus the sort of `L` — the one place the thread count
+    /// picks the init and sort kernels. One thread runs the serial
+    /// flat-accumulator init and the standard sort on the borrowed
+    /// graph; more threads share one `Arc` clone of the graph with the
+    /// pooled owner-sharded init and the pooled merge sort. Both yield
+    /// the same bits.
+    fn sorted_similarities<G>(&self, g: &G) -> PairSimilarities
+    where
+        G: GraphView + Clone + Send + Sync + 'static,
+    {
+        if self.pool.threads() == 1 {
+            let sims = compute_similarities_with(g, &self.telemetry);
+            let _span = self.telemetry.span(Phase::Sort);
+            return sims.into_sorted();
+        }
+        let sims = compute_similarities_pooled(&self.pool, &Arc::new(g.clone()), &self.telemetry);
+        parallel_into_sorted_pooled(&self.pool, sims, &self.telemetry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linkclust_core::init::compute_similarities;
     use linkclust_core::reference::canonical_labels;
-    use linkclust_core::telemetry::{Counter, Gauge, Phase};
+    use linkclust_core::sweep::sweep;
+    use linkclust_core::telemetry::{trace, Gauge, TraceLabel};
     use linkclust_graph::generate::{gnm, WeightMode};
+    use linkclust_graph::GraphBuilder;
 
     fn canon(labels: &[u32]) -> Vec<usize> {
         canonical_labels(&labels.iter().map(|&x| x as usize).collect::<Vec<_>>())
@@ -372,10 +344,137 @@ mod tests {
     fn one_thread_equals_serial_exactly() {
         for seed in 0..3 {
             let g = gnm(40, 170, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-            let serial = linkclust_core::LinkClustering::new().run(&g);
+            let sims = compute_similarities(&g).into_sorted();
+            let serial = sweep(&g, &sims, SweepConfig::default());
             let unified = LinkClustering::new().run(&g).unwrap();
             assert_eq!(serial.edge_assignments(), unified.edge_assignments());
             assert_eq!(serial.dendrogram(), unified.dendrogram());
+            assert_eq!(&sims, unified.similarities());
+            assert!(unified.report().is_none(), "stats are off by default");
+        }
+    }
+
+    #[test]
+    fn threshold_propagates() {
+        let g = GraphBuilder::from_edges(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (3, 5, 1.0),
+                (2, 3, 0.1),
+            ],
+        )
+        .unwrap()
+        .build();
+        for threads in [1, 2] {
+            let facade = LinkClustering::new().threads(threads);
+            let high = facade.clone().min_similarity(0.9).run(&g).unwrap();
+            let low = facade.run(&g).unwrap();
+            assert!(high.dendrogram().merge_count() < low.dendrogram().merge_count());
+        }
+    }
+
+    #[test]
+    fn coarse_facade_rejects_bad_config() {
+        let g = gnm(10, 20, WeightMode::Unit, 0);
+        let bad = CoarseConfig { gamma: 0.5, ..Default::default() };
+        for threads in [1, 2] {
+            let facade = LinkClustering::new().threads(threads);
+            assert_eq!(facade.run_coarse(&g, bad), Err(ConfigError::InvalidGamma(0.5)));
+        }
+    }
+
+    #[test]
+    fn edge_order_reconciliation() {
+        let facade = LinkClustering::new().edge_order(EdgeOrder::Shuffled { seed: 7 });
+        // Default-valued config: the facade's explicit order wins.
+        let cfg = facade.reconcile_coarse(CoarseConfig::default()).unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
+        // Matching explicit orders: fine.
+        let cfg = facade
+            .reconcile_coarse(CoarseConfig {
+                edge_order: EdgeOrder::Shuffled { seed: 7 },
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
+        // Conflicting explicit orders: rejected.
+        assert_eq!(
+            facade.reconcile_coarse(CoarseConfig {
+                edge_order: EdgeOrder::Shuffled { seed: 8 },
+                ..Default::default()
+            }),
+            Err(ConfigError::EdgeOrderConflict)
+        );
+        // No facade order: the config's order is used untouched.
+        let cfg = LinkClustering::new()
+            .reconcile_coarse(CoarseConfig {
+                edge_order: EdgeOrder::Shuffled { seed: 3 },
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 3 });
+    }
+
+    #[test]
+    fn custom_recorder_receives_events() {
+        let g = gnm(20, 60, WeightMode::Unit, 4);
+        for threads in [1, 2] {
+            let sink = Arc::new(RunRecorder::new());
+            let r = LinkClustering::new().threads(threads).recorder(sink.clone()).run(&g).unwrap();
+            // Custom sinks get the events; the result carries no report.
+            assert!(r.report().is_none());
+            assert_eq!(sink.report().counter(Counter::MergesApplied), r.dendrogram().merge_count());
+        }
+    }
+
+    #[test]
+    fn tracer_records_phase_timeline_without_drops() {
+        let g = gnm(20, 60, WeightMode::Unit, 4);
+        for threads in [1, 2] {
+            let collector = Arc::new(TraceCollector::new());
+            let facade = LinkClustering::new().threads(threads);
+            let r = facade.clone().tracer(Arc::clone(&collector)).run(&g).unwrap();
+            // Tracing alone attaches no report.
+            assert!(r.report().is_none());
+            let events = collector.events();
+            assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sort)));
+            assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sweep)));
+            trace::check_events(&events).unwrap();
+            trace::validate_json(&collector.to_chrome_json()).unwrap();
+            // Tracing plus stats: the report exists and the small run
+            // (deep rings, few events) dropped nothing.
+            let collector = Arc::new(TraceCollector::new());
+            let r = facade.stats(true).tracer(collector).run(&g).unwrap();
+            let report = r.report().expect("report attached");
+            assert_eq!(report.counter(Counter::TraceEventsDropped), 0, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn coarse_stats_report_counts_epochs() {
+        let g = gnm(40, 170, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);
+        let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
+        for threads in [1, 2] {
+            let r = LinkClustering::new().threads(threads).stats(true).run_coarse(&g, cfg).unwrap();
+            let report = r.report().expect("report attached");
+            let b = r.epoch_breakdown();
+            assert_eq!(
+                report.counter(Counter::EpochsCommitted),
+                (b.head_fresh + b.tail_fresh) as u64
+            );
+            assert_eq!(report.counter(Counter::Rollbacks), b.rollback as u64);
+            assert_eq!(report.counter(Counter::EpochsReused), b.reused as u64);
+            assert_eq!(report.counter(Counter::LevelsCommitted), r.levels().len() as u64);
+            assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
+            assert_eq!(
+                report.phase_calls(Phase::CoarseEpoch) as usize,
+                r.epochs().len() - b.reused
+            );
         }
     }
 
@@ -456,7 +555,6 @@ mod tests {
 
     #[test]
     fn traced_run_produces_consistent_timeline_and_file() {
-        use linkclust_core::telemetry::{trace, TraceCollector, TraceLabel};
         let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 9);
         // Caller-owned collector, parallel fine run.
         let collector = Arc::new(TraceCollector::new());
@@ -477,7 +575,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         trace::validate_json(&text).unwrap();
         assert!(text.contains("\"ph\":\"X\""));
-        // threads(1) traces through the serial path too.
+        // threads(1) traces through the same path.
         let _ = LinkClustering::new().trace(&path).run(&g).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         trace::validate_json(&text).unwrap();

@@ -17,10 +17,12 @@
 //!
 //! All parallel phases run as tasks on a persistent [`pool::WorkerPool`]
 //! — spawned once per clustering run and reused by the init passes, the
-//! sort, and every coarse chunk — instead of spawning scoped OS threads
-//! per call. The entry point is the unified [`LinkClustering`] facade:
-//! serial by default, parallel via `.threads(n)`, with optional
-//! phase-level telemetry via `.stats(true)`.
+//! sort, the sweep, and every coarse chunk — instead of spawning scoped
+//! OS threads per call. The entry point is the [`LinkClustering`]
+//! facade, the only end-to-end builder of the workspace: one code path
+//! for every thread count (serial kernels at the default one thread,
+//! pooled kernels via `.threads(n)`), with optional phase-level
+//! telemetry via `.stats(true)`.
 //!
 //! # Examples
 //!
@@ -53,4 +55,4 @@ pub mod ufsweep;
 pub use facade::LinkClustering;
 pub use init::compute_similarities_parallel;
 pub use pool::WorkerPool;
-pub use sweep::{parallel_coarse_sweep, parallel_coarse_sweep_shared, ParallelChunkProcessor};
+pub use sweep::{parallel_coarse_sweep, ParallelChunkProcessor};

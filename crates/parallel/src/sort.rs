@@ -17,28 +17,6 @@ use linkclust_core::{PairSimilarities, SimilarityEntry};
 
 use crate::pool::{partition_ranges, Task, WorkerPool};
 
-/// Sorts arbitrary data with a parallel merge sort on a transient pool.
-///
-/// `compare` must be a strict weak ordering. Falls back to the standard
-/// library sort for small inputs or `threads == 1`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn parallel_sort_by<T, F>(items: Vec<T>, threads: usize, compare: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Send + Sync + 'static,
-{
-    assert!(threads > 0, "need at least one thread");
-    if sort_serially(items.len(), threads) {
-        let mut items = items;
-        items.sort_by(compare);
-        return items;
-    }
-    parallel_sort_pooled(&WorkerPool::new(threads), items, compare)
-}
-
 /// `true` when the input is too small for fan-out to pay off.
 fn sort_serially(len: usize, threads: usize) -> bool {
     threads == 1 || len < 4 * threads || len < 64
@@ -48,8 +26,10 @@ fn sort_serially(len: usize, threads: usize) -> bool {
 /// input buffers (empty, capacity intact) for recycling.
 type MergeRound<T> = (Vec<T>, Vec<T>, Vec<T>);
 
-/// [`parallel_sort_by`] on a caller-supplied [`WorkerPool`] — the variant
-/// the facade uses so the run's single pool also serves the sort.
+/// Sorts arbitrary data with a parallel merge sort on `pool`: `T` runs
+/// sorted as pool tasks, then merged pairwise. `compare` must be a strict
+/// weak ordering. Falls back to the standard library sort for small
+/// inputs or a one-thread pool.
 #[must_use]
 pub fn parallel_sort_pooled<T, F>(pool: &WorkerPool, mut items: Vec<T>, compare: F) -> Vec<T>
 where
@@ -134,31 +114,25 @@ where
 }
 
 /// Sorts a [`PairSimilarities`] into the list `L` (non-increasing score,
-/// ties by vertex pair) using `threads` worker threads. Produces exactly
-/// the same order as [`PairSimilarities::into_sorted`].
+/// ties by vertex pair) using `threads` worker threads on a transient
+/// pool. Produces exactly the same order as
+/// [`PairSimilarities::into_sorted`]; an already sorted input is
+/// returned without spawning a pool.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` and `sims` is unsorted.
 #[must_use]
 pub fn parallel_into_sorted(sims: PairSimilarities, threads: usize) -> PairSimilarities {
-    parallel_into_sorted_with(sims, threads, &Telemetry::disabled())
-}
-
-/// [`parallel_into_sorted`] with telemetry: the sort runs under a
-/// [`Phase::Sort`] span (recorded even when the input is already sorted,
-/// so run reports always account for the phase).
-#[must_use]
-pub fn parallel_into_sorted_with(
-    sims: PairSimilarities,
-    threads: usize,
-    telemetry: &Telemetry,
-) -> PairSimilarities {
     if sims.is_sorted() {
-        let _span = telemetry.span(Phase::Sort);
         return sims;
     }
-    let pool = WorkerPool::new(threads).with_telemetry(telemetry.clone());
-    parallel_into_sorted_pooled(&pool, sims, telemetry)
+    parallel_into_sorted_pooled(&WorkerPool::new(threads), sims, &Telemetry::disabled())
 }
 
-/// [`parallel_into_sorted`] on a caller-supplied [`WorkerPool`].
+/// [`parallel_into_sorted`] on a caller-supplied [`WorkerPool`], under a
+/// [`Phase::Sort`] span (recorded even when the input is already sorted,
+/// so run reports always account for the phase).
 #[must_use]
 pub fn parallel_into_sorted_pooled(
     pool: &WorkerPool,
@@ -192,7 +166,7 @@ mod tests {
             let mut expected = items.clone();
             expected.sort();
             for threads in [1, 2, 3, 4, 7] {
-                let got = parallel_sort_by(items.clone(), threads, |a, b| a.cmp(b));
+                let got = parallel_sort_pooled(&WorkerPool::new(threads), items.clone(), u64::cmp);
                 assert_eq!(got, expected, "n={n} threads={threads}");
             }
         }
@@ -216,7 +190,7 @@ mod tests {
         // equal keys keep run-relative order — verify output is sorted
         // and a permutation.
         let items: Vec<(u32, u32)> = (0..500).map(|i| (i % 7, i)).collect();
-        let got = parallel_sort_by(items.clone(), 4, |a, b| a.0.cmp(&b.0));
+        let got = parallel_sort_pooled(&WorkerPool::new(4), items.clone(), |a, b| a.0.cmp(&b.0));
         assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
         let mut a = got;
         a.sort();

@@ -345,11 +345,9 @@ impl ChunkProcessor for ParallelChunkProcessor {
 /// Runs the coarse-grained sweep with chunks processed by `threads`
 /// worker threads. Produces the same partition trajectory (levels,
 /// cluster counts, epoch decisions) as the serial
-/// [`coarse_sweep`](linkclust_core::coarse::coarse_sweep).
-///
-/// Clones the similarity list once so the chunk workers can share it
-/// zero-copy; use [`parallel_coarse_sweep_shared`] to avoid even that
-/// copy when you already hold the list in an `Arc`.
+/// [`coarse_sweep`](linkclust_core::coarse::coarse_sweep). The chunk
+/// workers read the entries zero-copy straight from the `Arc`-shared
+/// `sorted` list.
 ///
 /// # Panics
 ///
@@ -359,36 +357,21 @@ impl ChunkProcessor for ParallelChunkProcessor {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use linkclust_graph::generate::{gnm, WeightMode};
 /// use linkclust_core::init::compute_similarities;
 /// use linkclust_core::coarse::CoarseConfig;
 /// use linkclust_parallel::parallel_coarse_sweep;
 ///
 /// let g = gnm(30, 120, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 1);
-/// let sims = compute_similarities(&g).into_sorted();
+/// let sims = Arc::new(compute_similarities(&g).into_sorted());
 /// let cfg = CoarseConfig { phi: 10, initial_chunk: 16, ..Default::default() };
 /// let r = parallel_coarse_sweep(&g, &sims, cfg, 4);
 /// assert!(r.dendrogram().merge_count() > 0);
 /// ```
 #[must_use]
 pub fn parallel_coarse_sweep<G: GraphView + ?Sized>(
-    g: &G,
-    sorted: &PairSimilarities,
-    config: CoarseConfig,
-    threads: usize,
-) -> CoarseResult {
-    parallel_coarse_sweep_shared(g, &Arc::new(sorted.clone()), config, threads)
-}
-
-/// [`parallel_coarse_sweep`] over an `Arc`-shared similarity list: the
-/// chunk workers read the entries zero-copy straight from `sorted`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or under the same conditions as the serial
-/// coarse sweep (unsorted input, degenerate config).
-#[must_use]
-pub fn parallel_coarse_sweep_shared<G: GraphView + ?Sized>(
     g: &G,
     sorted: &Arc<PairSimilarities>,
     config: CoarseConfig,
@@ -406,6 +389,7 @@ mod tests {
     use linkclust_core::coarse::coarse_sweep;
     use linkclust_core::init::compute_similarities;
     use linkclust_core::reference::canonical_labels;
+    use linkclust_core::sweep::{sweep, SweepConfig};
     use linkclust_graph::generate::{barabasi_albert, gnm, WeightMode};
 
     fn canon(labels: &[u32]) -> Vec<usize> {
@@ -478,7 +462,7 @@ mod tests {
         let cfg = CoarseConfig { phi: 1, initial_chunk: 32, ..Default::default() };
         // phi = 1 processes everything: final partition must equal the
         // fine-grained single-linkage partition.
-        let fine = linkclust_core::LinkClustering::new().run(&g);
+        let fine = sweep(&g, &sims, SweepConfig::default());
         let mut proc = ParallelChunkProcessor::new(3).unwrap().min_entries_per_thread(1);
         let par = coarse_sweep_with(&g, &sims, cfg, &mut proc);
         assert_eq!(canon(&fine.edge_assignments()), canon(&par.output().edge_assignments()));
@@ -490,7 +474,7 @@ mod tests {
         let sims = compute_similarities(&g).into_sorted();
         let cfg = CoarseConfig { phi: 3, initial_chunk: 4, ..Default::default() };
         let serial = coarse_sweep(&g, &sims, cfg);
-        let par = parallel_coarse_sweep(&g, &sims, cfg, 1);
+        let par = parallel_coarse_sweep(&g, &Arc::new(sims), cfg, 1);
         assert_eq!(serial.levels(), par.levels());
     }
 

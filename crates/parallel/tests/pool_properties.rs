@@ -8,14 +8,14 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use linkclust_core::coarse::{coarse_sweep, CoarseConfig};
+use linkclust_core::coarse::{coarse_sweep, coarse_sweep_with, CoarseConfig};
 use linkclust_core::init::compute_similarities;
 use linkclust_core::reference::canonical_labels;
 use linkclust_graph::generate::{gnm, WeightMode};
 use linkclust_parallel::compute_similarities_parallel;
 use linkclust_parallel::pool::{Task, WorkerPool};
 use linkclust_parallel::sort::{parallel_into_sorted, parallel_sort_pooled};
-use linkclust_parallel::{parallel_coarse_sweep, parallel_coarse_sweep_shared};
+use linkclust_parallel::{parallel_coarse_sweep, ParallelChunkProcessor};
 use proptest::prelude::*;
 
 /// Thread counts to exercise: 1 (inline), a few small ones, and 8 —
@@ -73,7 +73,7 @@ proptest! {
         let cfg = CoarseConfig { phi, initial_chunk: 8, ..Default::default() };
         let serial = coarse_sweep(&g, &sims, cfg);
         for threads in THREADS {
-            let par = parallel_coarse_sweep_shared(&g, &sims, cfg, threads);
+            let par = parallel_coarse_sweep(&g, &sims, cfg, threads);
             let sl: Vec<_> = serial.levels().iter().map(|l| (l.level, l.clusters)).collect();
             let pl: Vec<_> = par.levels().iter().map(|l| (l.level, l.clusters)).collect();
             prop_assert_eq!(sl, pl, "threads {}", threads);
@@ -227,16 +227,18 @@ fn concurrent_queue_wait_records_are_never_lost() {
     assert_eq!(report.phase_histogram(Phase::PoolQueueWait).count(), expected);
 }
 
-/// Standalone `parallel_coarse_sweep` (buffered entry path, lazily
-/// created pool) must agree with the `Arc`-shared zero-copy path.
+/// A processor with no shared list (buffered entry path, lazily created
+/// pool) must agree with `parallel_coarse_sweep`'s `Arc`-shared
+/// zero-copy path.
 #[test]
 fn buffered_and_shared_entry_paths_agree() {
     let g = gnm(40, 170, WeightMode::Uniform { lo: 0.3, hi: 1.6 }, 3);
     let sims = Arc::new(compute_similarities(&g).into_sorted());
     let cfg = CoarseConfig { phi: 4, initial_chunk: 8, ..Default::default() };
     for threads in [2usize, 4] {
-        let buffered = parallel_coarse_sweep(&g, &sims, cfg, threads);
-        let shared = parallel_coarse_sweep_shared(&g, &sims, cfg, threads);
+        let mut unwired = ParallelChunkProcessor::new(threads).unwrap();
+        let buffered = coarse_sweep_with(&g, &sims, cfg, &mut unwired);
+        let shared = parallel_coarse_sweep(&g, &sims, cfg, threads);
         assert_eq!(buffered.levels(), shared.levels(), "threads {threads}");
     }
 }

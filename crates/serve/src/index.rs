@@ -790,35 +790,24 @@ impl DendrogramIndex {
         }
         let (n, m, k, profile_count) = (n as usize, m as usize, k as usize, profile_count as usize);
 
-        let mut merges = Vec::with_capacity(k);
-        read_section(&mut reader, "merges", k, MERGE_BYTES, |rec| {
-            merges.push(MergeRecord {
-                level: le_u32(&rec[..4]),
-                left: le_u32(&rec[4..8]),
-                right: le_u32(&rec[8..12]),
-                into: le_u32(&rec[4..8]).min(le_u32(&rec[8..12])),
-            });
+        let merges = read_section(&mut reader, "merges", k, MERGE_BYTES, |rec| MergeRecord {
+            level: le_u32(&rec[..4]),
+            left: le_u32(&rec[4..8]),
+            right: le_u32(&rec[8..12]),
+            into: le_u32(&rec[4..8]).min(le_u32(&rec[8..12])),
         })?;
-        let mut merge_scores = Vec::with_capacity(k);
-        read_section(&mut reader, "scores", k, 8, |rec| {
-            merge_scores.push(f64::from_bits(le_u64(rec)));
+        let merge_scores =
+            read_section(&mut reader, "scores", k, 8, |rec| f64::from_bits(le_u64(rec)))?;
+        let slot_of_edge = read_section(&mut reader, "slots", m, 4, le_u32)?;
+        let endpoints = read_section(&mut reader, "endpoints", m, 8, |rec| {
+            (le_u32(&rec[..4]), le_u32(&rec[4..8]))
         })?;
-        let mut slot_of_edge = Vec::with_capacity(m);
-        read_section(&mut reader, "slots", m, 4, |rec| {
-            slot_of_edge.push(le_u32(rec));
-        })?;
-        let mut endpoints = Vec::with_capacity(m);
-        read_section(&mut reader, "endpoints", m, 8, |rec| {
-            endpoints.push((le_u32(&rec[..4]), le_u32(&rec[4..8])));
-        })?;
-        let mut profile = Vec::with_capacity(profile_count);
-        read_section(&mut reader, "profile", profile_count, PROFILE_BYTES, |rec| {
-            profile.push(DensityCut {
+        let profile =
+            read_section(&mut reader, "profile", profile_count, PROFILE_BYTES, |rec| DensityCut {
                 level: le_u32(&rec[..4]),
                 cluster_count: le_u32(&rec[4..8]) as usize,
                 density: f64::from_bits(le_u64(&rec[8..16])),
-            });
-        })?;
+            })?;
         if reader.read(&mut [0u8; 1])? != 0 {
             return Err(IndexError::TrailingData);
         }
@@ -827,32 +816,32 @@ impl DendrogramIndex {
 }
 
 /// Streams `count` fixed-size records of one section through a chunked
-/// buffer, invoking `visit` per record.
-fn read_section<R: Read>(
+/// buffer and decodes each one. `count` comes from the untrusted header,
+/// so the output grows chunk by chunk as records arrive instead of
+/// reserving the claimed total up front: a short file that claims 2³¹
+/// records fails with [`IndexError::Truncated`], in bounded memory.
+fn read_section<R: Read, T>(
     reader: &mut R,
     section: &'static str,
     count: usize,
     record_bytes: usize,
-    mut visit: impl FnMut(&[u8]),
-) -> Result<(), IndexError> {
+    decode: impl Fn(&[u8]) -> T,
+) -> Result<Vec<T>, IndexError> {
+    let mut out = Vec::new();
     let mut buf = vec![0u8; CHUNK_RECORDS.min(count.max(1)) * record_bytes];
-    let mut done = 0usize;
-    while done < count {
-        let chunk = CHUNK_RECORDS.min(count - done);
+    while out.len() < count {
+        let chunk = CHUNK_RECORDS.min(count - out.len());
         let bytes = &mut buf[..chunk * record_bytes];
         reader.read_exact(bytes).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                IndexError::Truncated { section, declared: count as u64, read: done as u64 }
+                IndexError::Truncated { section, declared: count as u64, read: out.len() as u64 }
             } else {
                 IndexError::Io(e)
             }
         })?;
-        for rec in bytes.chunks_exact(record_bytes) {
-            visit(rec);
-        }
-        done += chunk;
+        out.extend(bytes.chunks_exact(record_bytes).map(&decode));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Little-endian u32 from the first 4 bytes of `b`.
@@ -962,7 +951,7 @@ mod tests {
     #[test]
     fn empty_graph_round_trips() {
         let g = linkclust_graph::GraphBuilder::new().build();
-        let output = linkclust_core::LinkClustering::new().run(&g).output().clone();
+        let output = LinkClustering::new().run(&g).unwrap().output().clone();
         let index = DendrogramIndex::build(&g, &output).unwrap();
         assert!(index.best_cut().is_none());
         assert!(index.edge_labels_at_threshold(0.5).is_empty());
@@ -976,7 +965,7 @@ mod tests {
         use linkclust_core::coarse::CoarseConfig;
         let g = gnm(30, 80, WeightMode::Unit, 9);
         let cfg = CoarseConfig::builder().phi(4).build().unwrap();
-        let out = linkclust_core::LinkClustering::new().run_coarse(&g, cfg).unwrap();
+        let out = LinkClustering::new().run_coarse(&g, cfg).unwrap();
         assert!(matches!(DendrogramIndex::build(&g, out.output()), Err(IndexError::NoMergeScores)));
     }
 
@@ -1027,6 +1016,22 @@ mod tests {
             DendrogramIndex::read(hostile_k.as_slice()),
             Err(IndexError::Corrupt { section: "header", .. })
         ));
+    }
+
+    #[test]
+    fn inflated_header_without_body_is_truncated_not_aborted() {
+        let mut header = valid_bytes();
+        header.truncate(HEADER_BYTES);
+        let m = u64::from(u32::MAX) / 2;
+        header[24..32].copy_from_slice(&m.to_le_bytes());
+        header[32..40].copy_from_slice(&(m - 1).to_le_bytes());
+        header[40..48].copy_from_slice(&(m - 1).to_le_bytes());
+        match DendrogramIndex::read(header.as_slice()).unwrap_err() {
+            IndexError::Truncated { section: "merges", declared, read: 0 } => {
+                assert_eq!(declared, m - 1);
+            }
+            other => panic!("unexpected error {other}"),
+        }
     }
 
     #[test]

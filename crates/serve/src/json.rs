@@ -228,12 +228,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err("control character in string".to_owned()),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is valid).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy one run of plain bytes up to the next quote,
+                // backslash or control byte. All three are ASCII, so the
+                // run ends on a char boundary of the `&str` input and
+                // validating it costs time linear in the run alone.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid utf-8")?,
+                );
             }
         }
     }
@@ -403,6 +408,25 @@ mod tests {
         assert_eq!(parse("7.5").unwrap().as_index(), None);
         assert_eq!(parse("-1").unwrap().as_index(), None);
         assert_eq!(parse("1e300").unwrap().as_index(), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One MiB of ASCII, then one MiB of 2-, 3- and 4-byte scalars
+        // with escapes mixed in. Re-validating the rest of the input per
+        // scalar made this quadratic (30 s and 150 s in a debug build);
+        // linear takes milliseconds, so the bound only trips on a
+        // regression.
+        let ascii = "a".repeat(1 << 20);
+        let multi = "é€😀\\n".repeat((1 << 20) / 12);
+        for (body, expected) in
+            [(ascii.clone(), ascii), (multi.clone(), multi.replace("\\n", "\n"))]
+        {
+            let start = std::time::Instant::now();
+            let parsed = parse(&format!("\"{body}\"")).unwrap();
+            assert_eq!(parsed.as_str(), Some(expected.as_str()));
+            assert!(start.elapsed().as_secs() < 5, "took {:?}", start.elapsed());
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! cargo run --release --example parallel_scaling
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use linkclust::graph::generate::{barabasi_albert, WeightMode};
@@ -22,7 +23,7 @@ fn main() {
         cores
     );
 
-    let sims = compute_similarities(&g).into_sorted();
+    let sims = Arc::new(compute_similarities(&g).into_sorted());
     let cfg = CoarseConfig {
         phi: 100,
         initial_chunk: (sims.incident_pair_count() / 1000).max(16),

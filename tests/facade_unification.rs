@@ -1,15 +1,25 @@
-//! The unified facade contract: `threads(1)` is the serial core
-//! pipeline, bad configurations come back as [`ConfigError`] values
-//! instead of panics, and the telemetry report's counters agree with
-//! independently computed graph statistics and dendrogram totals.
+//! The facade contract: `threads(1)` reproduces the serial core
+//! pipeline (core init and sort, then Algorithm 2), bad configurations
+//! come back as [`ConfigError`] values instead of panics, and the
+//! telemetry report's counters agree with independently computed graph
+//! statistics and dendrogram totals.
 
 use std::sync::Arc;
 
-use linkclust::core::telemetry::{Counter, Phase, RunRecorder};
+use linkclust::core::sweep::{sweep_with, SweepOutput};
+use linkclust::core::telemetry::{Counter, Phase, RunRecorder, Telemetry};
 use linkclust::graph::generate::{gnm, planted_partition, WeightMode};
 use linkclust::graph::stats::count_common_neighbor_pairs;
-use linkclust::{CoarseConfig, ConfigError, EdgeOrder, LinkClustering, WeightedGraph};
+use linkclust::{
+    compute_similarities, CoarseConfig, ConfigError, EdgeOrder, LinkClustering, SweepConfig,
+    WeightedGraph,
+};
 use proptest::prelude::*;
+
+/// The explicit oracle: core init, core sort, and the Algorithm-2 sweep.
+fn serial_oracle(g: &WeightedGraph, config: SweepConfig) -> SweepOutput {
+    sweep_with(g, &compute_similarities(g).into_sorted(), config, &Telemetry::disabled())
+}
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (6usize..30, 0u64..500).prop_map(|(n, seed)| {
@@ -22,11 +32,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `threads(1)` must produce the same dendrogram as the serial core
-    /// facade, edge assignment for edge assignment — not just the same
+    /// pipeline, edge assignment for edge assignment — not just the same
     /// partition up to relabeling.
     #[test]
     fn one_thread_is_the_serial_pipeline(g in arb_graph()) {
-        let serial = linkclust::core::LinkClustering::new().run(&g);
+        let serial = serial_oracle(&g, SweepConfig::default());
         let unified = LinkClustering::new().threads(1).run(&g).unwrap();
         prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments());
         prop_assert_eq!(serial.dendrogram(), unified.dendrogram());
@@ -37,10 +47,8 @@ proptest! {
     #[test]
     fn one_thread_matches_serial_with_options(g in arb_graph(), seed in 0u64..64) {
         let order = EdgeOrder::Shuffled { seed };
-        let serial = linkclust::core::LinkClustering::new()
-            .edge_order(order)
-            .min_similarity(0.2)
-            .run(&g);
+        let serial =
+            serial_oracle(&g, SweepConfig { edge_order: order, min_similarity: Some(0.2) });
         let unified = LinkClustering::new()
             .edge_order(order)
             .min_similarity(0.2)

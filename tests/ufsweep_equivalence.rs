@@ -11,7 +11,9 @@
 use std::sync::Arc;
 
 use linkclust::core::sweep::{sweep_with, union_find_sweep_with, SweepOutput};
-use linkclust::core::telemetry::{Counter, Phase, Telemetry, TelemetrySink};
+use linkclust::core::telemetry::{
+    Counter, Phase, RunRecorder, RunReport, Telemetry, TelemetrySink,
+};
 use linkclust::core::unionfind::{ConcurrentUnionFind, UnionFind};
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
 use linkclust::parallel::pool::{partition_ranges, Task, WorkerPool};
@@ -199,11 +201,20 @@ proptest! {
     }
 }
 
-/// At one thread the facade runs the serial kernel inline: exactly one
-/// `Sweep` span with the oracle's merge and pair counters, and none of
-/// the parallel engine's sub-phases.
+/// At one thread the facade runs the serial kernels inline: exactly one
+/// `Sweep` span with the oracle's merge and pair counters, none of the
+/// parallel engine's sub-phases, and no pooled init or pool task —
+/// neither in `run` nor in `similarities`.
 #[test]
 fn one_thread_sweep_report_matches_alg2_and_has_no_engine_phases() {
+    fn assert_no_pool_work(report: &RunReport, what: &str) {
+        for phase in [Phase::InitShardFold, Phase::PoolQueueWait] {
+            assert_eq!(report.phase_calls(phase), 0, "{what} {phase:?}");
+        }
+        for counter in [Counter::PoolTasks, Counter::ShardRecords] {
+            assert_eq!(report.counter(counter), 0, "{what} {counter:?}");
+        }
+    }
     for (name, g) in workloads() {
         let (telemetry, recorder) = TelemetrySink::Stats.build();
         let sims = sorted_sims(&g);
@@ -218,6 +229,13 @@ fn one_thread_sweep_report_matches_alg2_and_has_no_engine_phases() {
         for phase in [Phase::SweepLocal, Phase::SweepStitch, Phase::SweepReplay] {
             assert_eq!(report.phase_calls(phase), 0, "{name} {phase:?}");
         }
+        assert_no_pool_work(report, name);
+        let sink = Arc::new(RunRecorder::new());
+        let sims = LinkClustering::new().threads(1).recorder(sink.clone()).similarities(&g);
+        assert_eq!(sims.unwrap(), sorted_sims(&g), "{name}");
+        let report = sink.report();
+        assert_eq!(report.phase_calls(Phase::Sort), 1, "{name}");
+        assert_no_pool_work(&report, &format!("{name} similarities()"));
     }
 }
 
