@@ -1,14 +1,16 @@
-//! Property tests for the hand-rolled JSON emitters: whatever a run
-//! records — including NaN/infinite gauge observations and hostile
-//! thread names — `RunReport::to_json()` and the Chrome trace writer
-//! must produce parseable JSON (checked with the crate's own
-//! recursive-descent validator), and non-finite quantiles must
-//! serialize as `null`, never as bare `NaN`/`inf` tokens.
+//! Property tests for the one JSON codec (`linkclust_core::json`) and
+//! the artifacts written with it: whatever a run records — including
+//! NaN/infinite gauge observations and hostile thread names —
+//! `RunReport::to_json()` and the Chrome trace writer must produce
+//! JSON that `json::parse` accepts, and non-finite quantiles must
+//! serialize as `null`, never as bare `NaN`/`inf` tokens. The codec
+//! itself must round-trip: any string through `write_escaped`, and any
+//! finite `f64` bit for bit through `write_f64`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use linkclust_core::telemetry::trace::validate_json;
+use linkclust_core::json::{self, Json};
 use linkclust_core::telemetry::{
     Counter, Gauge, Phase, Recorder, RunRecorder, TraceCollector, TraceLabel,
 };
@@ -64,7 +66,7 @@ proptest! {
         }
         let report = rec.report();
         let json = report.to_json();
-        prop_assert!(validate_json(&json).is_ok(), "invalid JSON: {}\nfrom {:?}", json, ops);
+        prop_assert!(json::parse(&json).is_ok(), "invalid JSON: {}\nfrom {:?}", json, ops);
         // Non-finite numbers must never leak as bare tokens — RFC 8259
         // has no NaN/Infinity literals.
         prop_assert!(!json.contains("NaN"), "bare NaN in {json}");
@@ -89,7 +91,7 @@ proptest! {
             collector.record(label, epoch, dur);
         }
         let json = collector.to_chrome_json();
-        prop_assert!(validate_json(&json).is_ok(), "invalid JSON: {json}");
+        prop_assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         prop_assert!(json.contains("\"traceEvents\""));
     }
 
@@ -108,7 +110,74 @@ proptest! {
             .expect("spawning a named thread");
         handle.join().expect("named thread runs to completion");
         let json = collector.to_chrome_json();
-        prop_assert!(validate_json(&json).is_ok(), "name {:?} broke the writer: {}", name, json);
+        prop_assert!(json::parse(&json).is_ok(), "name {:?} broke the writer: {}", name, json);
+    }
+}
+
+/// A string of scalar values drawn from every range that needs care:
+/// control characters, quotes and backslashes, the rest of ASCII, the
+/// BMP up to the surrogate gap, the BMP above it, and non-BMP scalars.
+fn scalar_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u32..6, 0u32..0x11_0000), 0..48).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(range, x)| {
+                let code = match range {
+                    0 => x % 0x20,
+                    1 => [u32::from('"'), u32::from('\\'), u32::from('/'), 0x7f][(x % 4) as usize],
+                    2 => 0x20 + x % 0x60,
+                    3 => 0x80 + x % (0xd800 - 0x80),
+                    4 => 0xe000 + x % (0x1_0000 - 0xe000),
+                    _ => 0x1_0000 + x % (0x11_0000 - 0x1_0000),
+                };
+                char::from_u32(code).expect("every range above skips the surrogate gap")
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn escaped_strings_round_trip(text in scalar_string()) {
+        let mut out = String::new();
+        json::write_escaped(&mut out, &text);
+        let parsed = json::parse(&out);
+        prop_assert_eq!(parsed, Ok(Json::Str(text)), "written as {}", out);
+    }
+
+    #[test]
+    fn finite_floats_round_trip_bit_for_bit(bits in 0u64..=u64::MAX, pick in 0usize..8) {
+        // Raw bit patterns are mostly huge or tiny normals; mix in the
+        // values whose text form is special.
+        let x = match pick {
+            0 => -0.0,
+            1 => f64::from_bits(bits & 0x000f_ffff_ffff_ffff), // subnormal (or +0)
+            2 => -f64::from_bits(bits & 0x000f_ffff_ffff_ffff),
+            3 => f64::MAX,
+            4 => f64::MIN_POSITIVE,
+            5 => (bits >> 40) as f64, // a whole number
+            _ => f64::from_bits(bits),
+        };
+        let mut out = String::new();
+        json::write_f64(&mut out, x);
+        if x.is_finite() {
+            let back = json::parse(&out).ok().and_then(|v| v.as_f64());
+            prop_assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{:?} written as {}", x, out);
+        } else {
+            prop_assert_eq!(out, "null");
+        }
+    }
+}
+
+#[test]
+fn non_finite_floats_write_as_null() {
+    for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut out = String::new();
+        json::write_f64(&mut out, x);
+        assert_eq!(out, "null", "{x:?}");
+        assert_eq!(json::parse(&out), Ok(Json::Null));
     }
 }
 
@@ -121,7 +190,7 @@ fn non_finite_gauge_quantiles_serialize_as_null() {
     rec.observe(Gauge::TableOccupancy, f64::NAN);
     rec.observe(Gauge::TableOccupancy, f64::INFINITY);
     let json = rec.report().to_json();
-    assert!(validate_json(&json).is_ok(), "invalid JSON: {json}");
+    assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
     assert!(json.contains("\"p50\":null"), "expected null quantiles in {json}");
     assert!(!json.contains("NaN") && !json.contains("inf"), "bare non-finite token in {json}");
 }

@@ -330,6 +330,7 @@ impl RunContext {
 mod tests {
     use super::*;
     use linkclust_core::init::compute_similarities;
+    use linkclust_core::json;
     use linkclust_core::reference::canonical_labels;
     use linkclust_core::sweep::sweep;
     use linkclust_core::telemetry::{trace, Gauge, TraceLabel};
@@ -445,7 +446,7 @@ mod tests {
             assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sort)));
             assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sweep)));
             trace::check_events(&events).unwrap();
-            trace::validate_json(&collector.to_chrome_json()).unwrap();
+            json::parse(&collector.to_chrome_json()).unwrap();
             // Tracing plus stats: the report exists and the small run
             // (deep rings, few events) dropped nothing.
             let collector = Arc::new(TraceCollector::new());
@@ -565,7 +566,7 @@ mod tests {
         trace::check_events(&events).unwrap();
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::InitPass1)));
         assert!(events.iter().any(|e| matches!(e.label, TraceLabel::PoolTask { .. })));
-        trace::validate_json(&collector.to_chrome_json()).unwrap();
+        json::parse(&collector.to_chrome_json()).unwrap();
         // .trace(path): the file lands on disk and is well-formed.
         let dir = std::env::temp_dir().join("linkclust-facade-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -573,12 +574,12 @@ mod tests {
         let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
         let _ = LinkClustering::new().threads(2).trace(&path).run_coarse(&g, cfg).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        trace::validate_json(&text).unwrap();
+        json::parse(&text).unwrap();
         assert!(text.contains("\"ph\":\"X\""));
         // threads(1) traces through the same path.
         let _ = LinkClustering::new().trace(&path).run(&g).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        trace::validate_json(&text).unwrap();
+        json::parse(&text).unwrap();
         assert!(text.contains("\"name\":\"sweep\""));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,7 +12,9 @@
 //! object per line, one response object per line, no framing beyond
 //! `\n`. Requests are untrusted: every malformed line produces an
 //! `{"ok":false,"error":...}` response, never a panic or a dropped
-//! connection.
+//! connection. The one exception is a line longer than 64 KiB: it gets
+//! the error response and then the connection is closed, since the
+//! rest of the line is never read.
 //!
 //! ```text
 //! {"op":"cut","theta":0.3}            -> {"ok":true,"generation":1,"level":..,"clusters":..}
@@ -35,11 +37,12 @@
 //! generation before caching its rendered answer, so a swap can never
 //! strand a stale entry in the cache.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
+use linkclust_core::json::{self, Json};
 use linkclust_core::telemetry::metrics::{MetricKind, MetricsWriter};
 use linkclust_core::telemetry::{Counter, LogHistogram, Logger, Phase, RunRecorder, Telemetry};
 use linkclust_graph::{CsrGraph, GraphView, WeightedGraph};
@@ -47,8 +50,12 @@ use linkclust_parallel::{LinkClustering, WorkerPool};
 
 use crate::cache::AnswerCache;
 use crate::index::{DendrogramIndex, IndexError};
-use crate::json::{self, Json};
 use crate::metrics::{read_rss_bytes, RuntimeRings, RuntimeSample};
+
+/// The longest request line the server reads, newline excluded. Every
+/// protocol request is a short object with no payload; a longer line is
+/// answered with an error and its connection closed.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// The graph a server answers queries about — either backend, fixed at
 /// startup (both produce bit-identical clusterings).
@@ -523,25 +530,28 @@ impl Server {
         let Ok(clone) = stream.try_clone() else { return false };
         let mut reader = BufReader::new(clone);
         let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            // Read at most one byte past the cap, so a client that never
+            // sends `\n` cannot grow the buffer without bound.
+            match reader.by_ref().take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => return false,
                 Ok(_) => {}
             }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
+            if line.strip_suffix(b"\n").unwrap_or(&line).len() > MAX_REQUEST_BYTES {
+                // The rest of the line is never read: answer, then hang up.
+                let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+                let _ = send_line(&mut writer, &error_response(&message));
+                return false;
             }
-            let (response, shutdown) = self.handle_line(trimmed);
+            let (response, shutdown) = match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => self.handle_line(text.trim()),
+                Err(_) => (error_response("malformed request: invalid UTF-8"), false),
+            };
             *requests += 1;
-            if writer
-                .write_all(response.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            if send_line(&mut writer, &response).is_err() {
                 return false;
             }
             if shutdown {
@@ -936,6 +946,13 @@ fn write_cut(out: &mut String, level: u32, clusters: usize, density: f64) {
     out.push('}');
 }
 
+/// Writes one response line and flushes it to the client.
+fn send_line(writer: &mut impl Write, response: &str) -> std::io::Result<()> {
+    writer.write_all(response.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
 /// Renders an `{"ok":false,...}` response.
 fn error_response(message: &str) -> String {
     let mut out = String::from("{\"ok\":false,\"error\":");
@@ -1134,31 +1151,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn serves_over_a_real_socket() {
-        let server = std::sync::Arc::new(test_server(2));
+    /// Runs the accept loop of `server` on its own pool, so the test
+    /// thread can be the client, and returns the address it listens on.
+    fn serve_in_background(server: &Arc<Server>) -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // Drive the accept loop from the pool so the test thread can be
-        // the client.
-        let background = std::sync::Arc::clone(&server);
+        let background = Arc::clone(server);
         server.pool.submit(move || {
             let _ = background.serve(&listener);
         });
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        addr
+    }
+
+    /// Sends one request line on `stream` and reads one response line.
+    fn ask(stream: &TcpStream, line: &str) -> String {
         let mut writer = BufWriter::new(stream);
-        let mut ask = |line: &str| -> String {
-            writer.write_all(line.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response
-        };
-        let cut = ask(r#"{"op":"cut","theta":0.3}"#);
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut response = String::new();
+        BufReader::new(stream).read_line(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn serves_over_a_real_socket() {
+        let server = Arc::new(test_server(2));
+        let stream = TcpStream::connect(serve_in_background(&server)).unwrap();
+        let cut = ask(&stream, r#"{"op":"cut","theta":0.3}"#);
         assert!(cut.contains("\"ok\":true"), "{cut}");
-        let bye = ask(r#"{"op":"shutdown"}"#);
+        // A line that is not UTF-8 gets an error, not a dropped connection.
+        (&stream).write_all(b"{\"op\":\"\xff\"}\n").unwrap();
+        let mut response = String::new();
+        BufReader::new(&stream).read_line(&mut response).unwrap();
+        assert!(response.contains("invalid UTF-8"), "{response}");
+        let bye = ask(&stream, r#"{"op":"shutdown"}"#);
+        assert!(bye.contains("\"bye\":true"), "{bye}");
+    }
+
+    #[test]
+    fn oversize_request_line_gets_an_error_and_the_server_keeps_serving() {
+        let server = Arc::new(test_server(2));
+        let addr = serve_in_background(&server);
+        // One byte over the cap and no newline. The server reads all of
+        // it before it hangs up; unread bytes would turn its close into
+        // a reset that can discard the answer before the client reads it.
+        let mut hog = TcpStream::connect(addr).unwrap();
+        hog.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(&hog);
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let v = json::parse(&response).expect("the error response is valid JSON");
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{response}");
+        let error = v.get("error").and_then(Json::as_str).unwrap();
+        assert_eq!(error, format!("request line longer than {MAX_REQUEST_BYTES} bytes"));
+        assert_eq!(reader.read_line(&mut response).unwrap(), 0, "connection closed");
+        // A line of exactly the cap is read as a request (and is malformed).
+        let fresh = TcpStream::connect(addr).unwrap();
+        let full = ask(&fresh, &"x".repeat(MAX_REQUEST_BYTES));
+        assert!(full.contains("malformed request"), "{full}");
+        let cut = ask(&fresh, r#"{"op":"cut","theta":0.3}"#);
+        assert!(cut.contains("\"ok\":true"), "{cut}");
+        let bye = ask(&fresh, r#"{"op":"shutdown"}"#);
         assert!(bye.contains("\"bye\":true"), "{bye}");
     }
 }
